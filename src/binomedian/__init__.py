@@ -26,7 +26,6 @@ from .critical import (
     derivative_identity_check,
     isolate_root,
     monotonicity_check,
-    rational_root_scan,
     symmetry_identity_check,
 )
 from .distribution import BinomialParams, ParameterError, cdf, pmf, pmf_sequence, survival

@@ -3,7 +3,8 @@ irrationality certificates, and the verification battery.
 
 Every subcommand writes a single JSON document (or CSV body) to stdout;
 diagnostics go to stderr only.  Identical invocations produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+output.  Exit codes: 0 success, 1 verification failure, 2 usage error or a
+dead worker process.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from .critical import ExactRoot, certify, isolate_root
 from .distribution import BinomialParams, cdf, pmf
 from .median import median_binomial
 from .rational import decimal_string, format_rational, parse_rational, shared_prefix_decimal
-from .verify import verify_theorem
+from .verify import ordered_map, verify_theorem
 
 DEFAULT_DIGITS = 30
 
@@ -159,11 +160,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     threads = _thread_count(args.threads)
     width = _width_for(digits)
     tasks = [(n, width, digits) for n in range(1, args.n_max + 1)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(_table_rows_for_n, tasks))
-    else:
-        groups = [_table_rows_for_n(task) for task in tasks]
+    groups = ordered_map(_table_rows_for_n, tasks, threads)
     rows = [row for group in groups for row in group]
     if args.format == "json":
         _emit(rows)
@@ -252,11 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact results can run to many thousands of digits: print them in full
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

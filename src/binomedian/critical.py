@@ -10,9 +10,10 @@ with exact sign evaluation yields certified enclosures.
 The irrationality certificates mechanize a three-way case split:
 
 * odd n with k in the middle: the polynomial vanishes exactly at 1/2;
-* k above the middle: the root lies in (1/2, 1), the constant coefficient
-  is 1, and an exhaustive rational-root-candidate scan excludes every
-  possible rational value;
+* k above the middle: the constant coefficient is 1, so by the rational
+  root theorem every rational root has the form ±1/r for a positive
+  integer r; no such number lies in the open interval (1/2, 1), and the
+  enclosure puts the root there, so the root is irrational;
 * k below the middle: the polynomial is the reflection of its partner's
   at index n-k+1 (checked coefficient-by-coefficient), so the root is
   1 minus the partner's and inherits its irrationality.
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from typing import Iterable, Union
 
 from .polynomial import IntPolynomial
 from .rational import binomial_coeff, format_rational, shared_prefix_decimal
@@ -46,7 +46,6 @@ __all__ = [
     "cdf_polynomial",
     "critical_poly",
     "isolate_root",
-    "rational_root_scan",
     "derivative_identity_check",
     "symmetry_identity_check",
     "monotonicity_check",
@@ -168,19 +167,32 @@ def _steps_for(width: Fraction) -> int:
     return max(ceil_inv - 1, 0).bit_length()
 
 
-def _bisect_unit(
-    poly: IntPolynomial,
-    width: Fraction,
-    require_upper_half: bool = False,
-    max_steps: int | None = None,
-) -> RootEnclosure:
-    """Bisect on [0, 1] where P(0) > 0 > P(1), with exact sign evaluation.
+def _checked_poly(n: int, k: int) -> IntPolynomial:
+    """critical_poly plus the endpoint sign facts bisection relies on."""
+    poly = critical_poly(n, k)
+    if poly.constant != 1 or sum(poly.coeffs) != -1:
+        raise FalsificationError(
+            f"polynomial for (n={n}, k={k}) lost its endpoint values +1/-1"
+        )
+    return poly
 
+
+def _enclose(
+    n: int, k: int, width: Fraction, require_upper_half: bool = False
+) -> tuple[IntPolynomial, RootEnclosure]:
+    """The checked polynomial for (n, k) and an enclosure of its root.
+
+    Bisects on [0, 1], where P(0) > 0 > P(1), with exact sign evaluation.
     Midpoints are dyadic, so the bracket is carried as integers over a
     power-of-two denominator.  Stops once the gap is at most `width` and
     both endpoints are interior (and past 1/2 when `require_upper_half`).
     A midpoint that evaluates to exactly zero is returned as ExactRoot.
+    The step cap (four times the steps `width` implies, plus 256) turns a
+    stop condition that can never hold, such as a root below 1/2 under
+    `require_upper_half`, into FalsificationError instead of an endless loop.
     """
+    poly = _checked_poly(n, k)
+    max_steps = 4 * _steps_for(width) + 256
     lo_n, hi_n, t = 0, 1, 0
     steps = 0
     while True:
@@ -191,8 +203,8 @@ def _bisect_unit(
             and hi_n < scale
             and (not require_upper_half or 2 * lo_n > scale)
         ):
-            return Bracket(Fraction(lo_n, scale), Fraction(hi_n, scale))
-        if max_steps is not None and steps >= max_steps:
+            return poly, Bracket(Fraction(lo_n, scale), Fraction(hi_n, scale))
+        if steps >= max_steps:
             raise FalsificationError(
                 "bisection exceeded its step cap before reaching the target bracket"
             )
@@ -203,21 +215,11 @@ def _bisect_unit(
         sign = poly.scaled_value(mid_n, 1 << t)
         steps += 1
         if sign == 0:
-            return ExactRoot(Fraction(mid_n, 1 << t))
+            return poly, ExactRoot(Fraction(mid_n, 1 << t))
         if sign > 0:
             lo_n = mid_n
         else:
             hi_n = mid_n
-
-
-def _checked_poly(n: int, k: int) -> IntPolynomial:
-    """critical_poly plus the endpoint sign facts bisection relies on."""
-    poly = critical_poly(n, k)
-    if poly.constant != 1 or sum(poly.coeffs) != -1:
-        raise FalsificationError(
-            f"polynomial for (n={n}, k={k}) lost its endpoint values +1/-1"
-        )
-    return poly
 
 
 def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
@@ -230,74 +232,7 @@ def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosu
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    poly = _checked_poly(n, k)
-    return _bisect_unit(poly, width, max_steps=4 * _steps_for(width) + 256)
-
-
-# ---------------------------------------------------------------------------
-# rational root candidates
-
-
-def _divisors(m: int) -> list[int]:
-    """All positive divisors of m > 0, by trial division."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [dv * prime**e for dv in divs for e in range(mult + 1)]
-    return sorted(divs)
-
-
-def _candidate_roots(poly: IntPolynomial) -> list[Fraction]:
-    """Every rational that could be a root: ±q/r in lowest terms with
-    q dividing |constant| and r dividing |leading| (plus 0 when x divides
-    the polynomial)."""
-    coeffs = poly.coeffs
-    valuation = 0
-    while coeffs[valuation] == 0:
-        valuation += 1
-    stripped = coeffs[valuation:]
-    out = {Fraction(0)} if valuation > 0 else set()
-    for q in _divisors(abs(stripped[0])):
-        for r in _divisors(abs(stripped[-1])):
-            if gcd(q, r) != 1:
-                continue
-            out.add(Fraction(q, r))
-            out.add(Fraction(-q, r))
-    return sorted(out)
-
-
-def _scan(
-    poly: IntPolynomial, lo: Fraction, hi: Fraction
-) -> tuple[list[Fraction], list[Fraction]]:
-    candidates = [c for c in _candidate_roots(poly) if lo < c < hi]
-    roots = [
-        c for c in candidates if poly.scaled_value(c.numerator, c.denominator) == 0
-    ]
-    return candidates, roots
-
-
-def rational_root_scan(
-    poly: IntPolynomial, open_interval: tuple[Fraction, Fraction]
-) -> list[Fraction]:
-    """All rational roots of an integer polynomial inside an open interval.
-
-    Complete by the rational root theorem: every rational root q/r in
-    lowest terms has q dividing the constant coefficient and r dividing
-    the leading one, and every such candidate is evaluated exactly.
-    """
-    if poly.is_zero:
-        raise ValueError("polynomial must not be identically zero")
-    lo, hi = Fraction(open_interval[0]), Fraction(open_interval[1])
-    _, roots = _scan(poly, lo, hi)
-    return roots
+    return _enclose(n, k, width)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +350,21 @@ class ExactRational:
 class IrrationalUpperHalf:
     """Direct irrationality evidence for a root enclosed in (1/2, 1).
 
-    Records the enclosure, the constant coefficient 1 (which limits
-    rational-root candidates to ±1/r), and the full candidate list that
-    was exhaustively evaluated and excluded.
+    Records the two facts the argument needs.  The constant coefficient
+    is 1, so every rational root is ±1/r for a positive integer r, and no
+    such number lies in (1/2, 1).  The enclosure lies inside (1/2, 1) with
+    exactly evaluated opposite signs at its ends, so it holds a root, and
+    that root is irrational.
     """
 
     enclosure: Bracket
     constant_coeff: int
-    excluded_candidates: tuple[Fraction, ...]
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
             "type": "irrational_upper_half",
             "enclosure": self.enclosure.to_json_dict(digits),
             "constant_coeff": str(self.constant_coeff),
-            "excluded_candidates": [format_rational(c) for c in self.excluded_candidates],
         }
 
 
@@ -463,91 +398,61 @@ class IrrationalityCertificate:
         return {"n": self.n, "k": self.k, "status": self.status.to_json_dict(digits)}
 
 
-def _certify_upper(n: int, k: int, width: Fraction) -> IrrationalUpperHalf:
-    poly = _checked_poly(n, k)
-    enclosure = _bisect_unit(
-        poly, width, require_upper_half=True, max_steps=4 * _steps_for(width) + 256
-    )
-    if isinstance(enclosure, ExactRoot):
-        raise FalsificationError(
-            f"exact rational root {enclosure.root} found for (n={n}, k={k}) "
-            "above the middle index"
-        )
-    candidates, roots = _scan(poly, Fraction(0), Fraction(1))
-    if roots:
-        raise FalsificationError(
-            f"rational root(s) {roots} found for (n={n}, k={k}) where the "
-            "enclosure proves none can exist"
-        )
-    return IrrationalUpperHalf(
-        enclosure=enclosure,
-        constant_coeff=poly.constant,
-        excluded_candidates=tuple(candidates),
-    )
+def _certificates(
+    n: int, ks: Iterable[int], width: Fraction
+) -> list[IrrationalityCertificate]:
+    """Certificates for the indices `ks` of one n, in order.
 
-
-def _symmetry_status(
-    n: int, k: int, partner: IrrationalityCertificate
-) -> IrrationalBySymmetry:
-    if not symmetry_identity_check(n, k):
-        raise FalsificationError(f"reflection identity failed for (n={n}, i={k})")
-    return IrrationalBySymmetry(partner_k=n - k + 1, partner=partner)
-
-
-def _certify_middle(n: int, k: int) -> ExactRational:
-    poly = _checked_poly(n, k)
-    if poly.scaled_value(1, 2) != 0:
-        raise FalsificationError(
-            f"polynomial for odd n={n}, middle k={k} does not vanish at 1/2"
-        )
-    return ExactRational(_HALF)
-
-
-def certify(
-    n: int, k: int, width: Fraction = DEFAULT_WIDTH
-) -> IrrationalityCertificate:
-    """Irrationality certificate for the critical probability of (n, k).
-
-    Exactly one branch applies: the odd middle index certifies the exact
-    root 1/2; indices above the middle get direct upper-half evidence;
-    indices below inherit from their partner via the reflection identity.
+    The odd middle index certifies the exact root 1/2; indices above the
+    middle get direct upper-half evidence; indices below inherit from
+    their partner n-k+1 via the reflection identity.  Each upper-half
+    certificate is built at most once per call and shared with its partner.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     if n < 1:
         raise ValueError("n must be positive")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
     middle = (n + 1) // 2
-    if n % 2 == 1 and k == middle:
-        return IrrationalityCertificate(n, k, _certify_middle(n, k))
-    if k > middle:
-        return IrrationalityCertificate(n, k, _certify_upper(n, k, width))
-    partner = certify(n, n - k + 1, width)
-    return IrrationalityCertificate(n, k, _symmetry_status(n, k, partner))
+    upper: dict[int, IrrationalityCertificate] = {}
+    out = []
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"k must lie in [1, {n}], got {k}")
+        if n % 2 == 1 and k == middle:
+            if _checked_poly(n, k).scaled_value(1, 2) != 0:
+                raise FalsificationError(
+                    f"polynomial for odd n={n}, middle k={k} does not vanish at 1/2"
+                )
+            out.append(IrrationalityCertificate(n, k, ExactRational(_HALF)))
+            continue
+        above = max(k, n - k + 1)  # k itself, or its partner above the middle
+        if above not in upper:
+            poly, enclosure = _enclose(n, above, width, require_upper_half=True)
+            if isinstance(enclosure, ExactRoot):
+                raise FalsificationError(
+                    f"exact rational root {enclosure.root} found for "
+                    f"(n={n}, k={above}) above the middle index"
+                )
+            status = IrrationalUpperHalf(enclosure, constant_coeff=poly.constant)
+            upper[above] = IrrationalityCertificate(n, above, status)
+        cert = upper[above]
+        if k != above:
+            if not symmetry_identity_check(n, k):
+                raise FalsificationError(f"reflection identity failed for (n={n}, i={k})")
+            cert = IrrationalityCertificate(n, k, IrrationalBySymmetry(above, cert))
+        out.append(cert)
+    return out
+
+
+def certify(
+    n: int, k: int, width: Fraction = DEFAULT_WIDTH
+) -> IrrationalityCertificate:
+    """Irrationality certificate for the critical probability of (n, k)."""
+    return _certificates(n, (k,), width)[0]
 
 
 def certify_range(n: int, width: Fraction = DEFAULT_WIDTH) -> list[IrrationalityCertificate]:
     """Certificates for every k in [1, n], computing each upper-half
     enclosure once and sharing it with its symmetric partner."""
-    width = Fraction(width)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if width <= 0:
-        raise ValueError("width must be positive")
-    middle = (n + 1) // 2
-    upper = {
-        k: IrrationalityCertificate(n, k, _certify_upper(n, k, width))
-        for k in range(middle + 1, n + 1)
-    }
-    out = []
-    for k in range(1, n + 1):
-        if k > middle:
-            out.append(upper[k])
-        elif n % 2 == 1 and k == middle:
-            out.append(IrrationalityCertificate(n, k, _certify_middle(n, k)))
-        else:
-            partner = upper[n - k + 1]
-            out.append(IrrationalityCertificate(n, k, _symmetry_status(n, k, partner)))
-    return out
+    return _certificates(n, range(1, n + 1), width)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .distribution import BinomialParams, pmf_sequence
 from .rational import as_exact, format_rational
@@ -98,6 +98,16 @@ class MedianClass(enum.Enum):
     UNIQUE_MEDIAN = "unique-median"
 
 
+def _half_crossing(masses: Iterable[Fraction]) -> tuple[int, bool]:
+    """Index of the first cumulative mass >= 1/2, and whether it is exactly 1/2."""
+    cumulative = Fraction(0)
+    for i, mass in enumerate(masses):
+        cumulative += mass
+        if cumulative >= _HALF:
+            return i, cumulative == _HALF
+    raise AssertionError("unreachable: masses sum to 1")
+
+
 def median_finite(dist: FiniteDiscreteDist) -> MedianResult:
     """Classify the median of a finite discrete distribution.
 
@@ -106,15 +116,11 @@ def median_finite(dist: FiniteDiscreteDist) -> MedianResult:
     means the medians form the interval up to the next support point;
     otherwise the point is the unique median.
     """
-    cumulative = Fraction(0)
-    for i, mass in enumerate(dist.probs):
-        cumulative += mass
-        if cumulative > _HALF:
-            return UniqueMedian(dist.support[i])
-        if cumulative == _HALF:
-            # the remaining mass is exactly 1/2, so a next point exists
-            return MedianInterval(dist.support[i], dist.support[i + 1])
-    raise AssertionError("unreachable: masses sum to 1")
+    i, tie = _half_crossing(dist.probs)
+    if tie:
+        # the remaining mass is exactly 1/2, so a next point exists
+        return MedianInterval(dist.support[i], dist.support[i + 1])
+    return UniqueMedian(dist.support[i])
 
 
 def median_binomial(n: int, p: Fraction | int) -> MedianResult:
@@ -124,14 +130,10 @@ def median_binomial(n: int, p: Fraction | int) -> MedianResult:
         return UniqueMedian(Fraction(0))
     if params.p == 1:
         return UniqueMedian(Fraction(n))
-    cumulative = Fraction(0)
-    for k, mass in enumerate(pmf_sequence(params)):
-        cumulative += mass
-        if cumulative > _HALF:
-            return UniqueMedian(Fraction(k))
-        if cumulative == _HALF:
-            return MedianInterval(Fraction(k), Fraction(k + 1))
-    raise AssertionError("unreachable: masses sum to 1")
+    k, tie = _half_crossing(pmf_sequence(params))
+    if tie:
+        return MedianInterval(Fraction(k), Fraction(k + 1))
+    return UniqueMedian(Fraction(k))
 
 
 def check_median(dist: FiniteDiscreteDist, m: Fraction | int) -> MedianClass:

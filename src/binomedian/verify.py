@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -243,6 +244,15 @@ def _check_evaluation_consistency(
     return CONSISTENCY_DRAWS, first_bad
 
 
+def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
+    """[fn(task) for task in tasks], run in `threads` worker processes when
+    threads > 1; a worker that dies raises BrokenProcessPool."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def _checks_for_n(task: tuple[int, int, Fraction, int]) -> list[tuple[int, str | None]]:
     n, denom_max, width, seed = task
     return [
@@ -282,11 +292,7 @@ def verify_theorem(
         raise ValueError("threads must be positive")
     start = time.perf_counter()
     tasks = [(n, denom_max, width, seed) for n in range(1, n_max + 1)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_checks_for_n, tasks))
-    else:
-        rows = [_checks_for_n(task) for task in tasks]
+    rows = ordered_map(_checks_for_n, tasks, threads)
     checks = []
     for idx, name in enumerate(CHECK_NAMES):
         instances = sum(row[idx][0] for row in rows)

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they are used to
 check: binomial coefficients come from a Pascal-triangle recurrence,
 medians from exhaustive enumeration against the defining inequalities,
-and reference roots from integer Newton iteration.
+reference roots from integer Newton iteration, and rational roots from
+an exhaustive rational-root-theorem candidate scan.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 from binomedian.median import FiniteDiscreteDist
+from binomedian.polynomial import IntPolynomial
 
 HALF = Fraction(1, 2)
 
@@ -95,3 +97,60 @@ def icbrt_fraction(m: int, digits: int) -> Fraction:
     """cbrt(m) to `digits` decimal places via the integer Newton oracle."""
     scale = 10**digits
     return Fraction(icbrt(m * scale**3), scale)
+
+
+def divisors(m: int) -> list[int]:
+    """All positive divisors of m > 0, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    divs = [1]
+    for prime, mult in factors.items():
+        divs = [dv * prime**e for dv in divs for e in range(mult + 1)]
+    return sorted(divs)
+
+
+def candidate_roots(poly: IntPolynomial) -> list[Fraction]:
+    """Every rational that could be a root: ±q/r in lowest terms with
+    q dividing |constant| and r dividing |leading| (plus 0 when x divides
+    the polynomial)."""
+    coeffs = poly.coeffs
+    valuation = 0
+    while coeffs[valuation] == 0:
+        valuation += 1
+    stripped = coeffs[valuation:]
+    out = {Fraction(0)} if valuation > 0 else set()
+    for q in divisors(abs(stripped[0])):
+        for r in divisors(abs(stripped[-1])):
+            if math.gcd(q, r) != 1:
+                continue
+            out.add(Fraction(q, r))
+            out.add(Fraction(-q, r))
+    return sorted(out)
+
+
+def rational_root_scan(
+    poly: IntPolynomial, open_interval: tuple[Fraction, Fraction]
+) -> list[Fraction]:
+    """All rational roots of an integer polynomial inside an open interval.
+
+    Complete by the rational root theorem: every rational root q/r in
+    lowest terms has q dividing the constant coefficient and r dividing
+    the leading one, and every such candidate is evaluated exactly.  The
+    candidate count grows with the divisors of the leading coefficient,
+    so this is a small-degree oracle only.
+    """
+    if poly.is_zero:
+        raise ValueError("polynomial must not be identically zero")
+    lo, hi = Fraction(open_interval[0]), Fraction(open_interval[1])
+    return [
+        c
+        for c in candidate_roots(poly)
+        if lo < c < hi and poly.scaled_value(c.numerator, c.denominator) == 0
+    ]

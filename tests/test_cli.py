@@ -1,12 +1,19 @@
 import csv
 import io
 import json
+import os
+import sys
 
 import pytest
 
-from binomedian import cli
+from binomedian import cli, verify
+from binomedian.distribution import BinomialParams, cdf
 from binomedian.verify import CheckResult, VerificationReport
 from fractions import Fraction
+
+
+def _exit_abruptly(task):
+    os._exit(1)
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +64,26 @@ class TestPointValues:
         assert code == 0
         assert json.loads(out) == {"rational": "1/2", "decimal": "0.5"}
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int/str digit limit",
+    )
+    def test_result_beyond_int_digit_limit(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "cdf", "--n", "2000", "--k", "1000", "--p", "1/199"
+        )
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == saved
+        value = cdf(1000, BinomialParams(2000, Fraction(1, 199)))
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{value.numerator}/{value.denominator}"
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert len(expected) > 2 * 4300
+        assert json.loads(out)["rational"] == expected
+
     def test_out_of_support_k_is_total(self, capsys):
         code, out, _ = run_cli(capsys, "pmf", "--n", "4", "--k", "9", "--p", "1/3")
         assert code == 0
@@ -89,8 +116,13 @@ class TestCertify:
         code, out, _ = run_cli(capsys, "certify", "--n", "2", "--k", "2")
         assert code == 0
         data = json.loads(out)
-        assert data["status"]["type"] == "irrational_upper_half"
-        assert data["status"]["excluded_candidates"] == ["1/2"]
+        status = data["status"]
+        assert status["type"] == "irrational_upper_half"
+        assert set(status) == {"type", "enclosure", "constant_coeff"}
+        assert status["constant_coeff"] == "1"
+        lo = Fraction(status["enclosure"]["lo"])
+        hi = Fraction(status["enclosure"]["hi"])
+        assert Fraction(1, 2) < lo < hi < 1
 
     def test_symmetry_wrapper(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--n", "2", "--k", "1")
@@ -188,3 +220,17 @@ class TestUsageErrors:
         )
         assert code == 2
         assert err == "error: invalid thread count 'zero'\n"
+
+
+class TestWorkerCrash:
+    @pytest.mark.parametrize(
+        "module,task_fn,command",
+        [(cli, "_table_rows_for_n", "table"), (verify, "_checks_for_n", "verify")],
+        ids=["table", "verify"],
+    )
+    def test_dead_worker_is_a_clean_exit_2(self, capsys, monkeypatch, module, task_fn, command):
+        monkeypatch.setattr(module, task_fn, _exit_abruptly)
+        code, out, err = run_cli(capsys, command, "--n-max", "4", "--threads", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

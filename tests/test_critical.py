@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from binomedian import critical
 from binomedian.critical import (
     Bracket,
     ExactRational,
@@ -17,12 +18,11 @@ from binomedian.critical import (
     derivative_identity_check,
     isolate_root,
     monotonicity_check,
-    rational_root_scan,
     symmetry_identity_check,
 )
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.polynomial import IntPolynomial
-from helpers import HALF, icbrt_fraction, isqrt_fraction
+from helpers import HALF, icbrt_fraction, isqrt_fraction, rational_root_scan
 
 UNIT = (Fraction(0), Fraction(1))
 
@@ -253,7 +253,7 @@ class TestCertify:
         assert isinstance(status, IrrationalUpperHalf)
         assert status.constant_coeff == 1
         assert HALF < status.enclosure.lo < status.enclosure.hi < 1
-        assert status.excluded_candidates == (Fraction(1, 2),)
+        assert set(status.to_json_dict()) == {"type", "enclosure", "constant_coeff"}
 
     def test_lower_half_wraps_partner(self):
         cert = certify(2, 1)
@@ -275,9 +275,32 @@ class TestCertify:
                 else:
                     assert isinstance(status, IrrationalBySymmetry)
 
+    def test_scan_oracle_agrees_no_rational_root_but_the_middle_half(self):
+        # the upper-half argument in exhaustive form: the only rational
+        # critical probability for n <= 30 is 1/2 at the odd middle index
+        for n in range(1, 31):
+            middle = (n + 1) // 2
+            for k in range(1, n + 1):
+                want = [HALF] if n % 2 == 1 and k == middle else []
+                assert rational_root_scan(critical_poly(n, k), UNIT) == want, (n, k)
+
     def test_range_matches_individual_certificates(self):
-        for n in (1, 2, 5, 8):
+        for n in range(1, 21):
             assert certify_range(n) == [certify(n, k) for k in range(1, n + 1)]
+
+    def test_range_bisects_each_upper_index_once(self, monkeypatch):
+        calls = []
+        enclose = critical._enclose
+
+        def counting(n, k, *args, **kwargs):
+            calls.append(k)
+            return enclose(n, k, *args, **kwargs)
+
+        monkeypatch.setattr(critical, "_enclose", counting)
+        for n in (1, 2, 7, 10):
+            calls.clear()
+            certify_range(n)
+            assert sorted(calls) == list(range((n + 1) // 2 + 1, n + 1))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
