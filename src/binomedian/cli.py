@@ -20,7 +20,7 @@ from fractions import Fraction
 from .critical import ExactRoot, certify, isolate_root
 from .distribution import BinomialParams, cdf, pmf
 from .median import median_binomial
-from .rational import decimal_string, format_rational, parse_rational, shared_prefix_decimal
+from .rational import decimal_string, format_rational, parse_rational
 from .verify import ordered_map, verify_theorem
 
 DEFAULT_DIGITS = 30
@@ -126,30 +126,20 @@ def _table_rows_for_n(task: tuple[int, Fraction, int]) -> list[dict]:
     rows = []
     for k in range(1, n + 1):
         enclosure = isolate_root(n, k, width)
+        doc = enclosure.to_json_dict(digits)
         if isinstance(enclosure, ExactRoot):
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "kind": "exact",
-                    "value": format_rational(enclosure.root),
-                    "lo": None,
-                    "hi": None,
-                    "decimal": decimal_string(enclosure.root, digits),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "kind": "bracket",
-                    "value": None,
-                    "lo": format_rational(enclosure.lo),
-                    "hi": format_rational(enclosure.hi),
-                    "decimal": shared_prefix_decimal(enclosure.lo, enclosure.hi, digits),
-                }
-            )
+            doc["decimal"] = decimal_string(enclosure.root, digits)
+        rows.append(
+            {
+                "n": n,
+                "k": k,
+                "kind": doc["type"],
+                "value": doc.get("root"),
+                "lo": doc.get("lo"),
+                "hi": doc.get("hi"),
+                "decimal": doc["decimal"],
+            }
+        )
     return rows
 
 

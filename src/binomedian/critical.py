@@ -3,9 +3,11 @@
 For 1 <= k <= n the critical probability is the unique p in (0, 1) where
 the binomial CDF satisfies B(k-1, n, p) = 1/2, i.e. where the median of
 B(n, p) degenerates to the interval [k-1, k].  Clearing denominators turns
-that condition into an integer polynomial (the full expansion of
-2*B(k-1, n, p) - 1) with value +1 at p = 0 and -1 at p = 1, so bisection
-with exact sign evaluation yields certified enclosures.
+that condition into an integer polynomial with value +1 at p = 0 and -1 at
+p = 1, so bisection with exact sign evaluation yields certified enclosures.
+Its coefficients come from the closed form (derived in `cdf_polynomial`)
+1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
+coefficient is 1 by construction.
 
 The irrationality certificates mechanize a three-way case split:
 
@@ -111,26 +113,24 @@ RootEnclosure = Union[ExactRoot, Bracket]
 
 
 def cdf_polynomial(n: int, j: int) -> IntPolynomial:
-    """Full expansion of sum_{i=0}^{j} C(n,i) x^i (1-x)^(n-i)."""
+    """Full expansion of sum_{i=0}^{j} C(n,i) x^i (1-x)^(n-i), from the
+    closed form 1 + sum_{s=j+1}^{n} (-1)^(s-j) C(n,s) C(s-1,j) x^s.
+
+    The coefficient of x^s is sum_{i<=min(j,s)} (-1)^(s-i) C(n,i) C(n-i,s-i).
+    Since C(n,i) C(n-i,s-i) = C(n,s) C(s,i), it equals
+    (-1)^s C(n,s) sum_{i<=min(j,s)} (-1)^i C(s,i).  For s <= j that sum is
+    (1-1)^s, so the constant is 1 and x^1 .. x^j vanish; for s > j the
+    partial alternating sum is (-1)^j C(s-1,j).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= j <= n:
         raise ValueError("j must lie in [0, n]")
-    # powers[m] holds the coefficients of (1-x)^m
-    powers = [[1]]
-    for m in range(1, n + 1):
-        prev = powers[-1]
-        nxt = [0] * (m + 1)
-        for idx, c in enumerate(prev):
-            nxt[idx] += c
-            nxt[idx + 1] -= c
-        powers.append(nxt)
-    acc = [0] * (n + 1)
-    for i in range(j + 1):
-        coeff = binomial_coeff(n, i)
-        for t, c in enumerate(powers[n - i]):
-            acc[i + t] += coeff * c
-    return IntPolynomial(acc)
+    tail = [
+        (-1) ** (s - j) * binomial_coeff(n, s) * binomial_coeff(s - 1, j)
+        for s in range(j + 1, n + 1)
+    ]
+    return IntPolynomial([1] + [0] * j + tail)
 
 
 def critical_poly(n: int, k: int) -> IntPolynomial:
@@ -149,11 +149,8 @@ def critical_poly(n: int, k: int) -> IntPolynomial:
 
 
 def _one_minus_x_power(m: int) -> IntPolynomial:
-    poly = IntPolynomial((1,))
-    base = IntPolynomial((1, -1))
-    for _ in range(m):
-        poly = poly * base
-    return poly
+    """(1-x)^m, whose coefficient of x^t is (-1)^t C(m,t)."""
+    return IntPolynomial([(-1) ** t * binomial_coeff(m, t) for t in range(m + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -183,43 +180,34 @@ def _enclose(
     """The checked polynomial for (n, k) and an enclosure of its root.
 
     Bisects on [0, 1], where P(0) > 0 > P(1), with exact sign evaluation.
-    Midpoints are dyadic, so the bracket is carried as integers over a
-    power-of-two denominator.  Stops once the gap is at most `width` and
-    both endpoints are interior (and past 1/2 when `require_upper_half`).
+    After t steps the bracket is [lo, lo + 1] / 2^t, so it is carried as
+    the single integer lo.  Stops once t reaches the steps `width` implies
+    and both endpoints are interior (and past 1/2 when `require_upper_half`).
     A midpoint that evaluates to exactly zero is returned as ExactRoot.
     The step cap (four times the steps `width` implies, plus 256) turns a
     stop condition that can never hold, such as a root below 1/2 under
     `require_upper_half`, into FalsificationError instead of an endless loop.
     """
     poly = _checked_poly(n, k)
-    max_steps = 4 * _steps_for(width) + 256
-    lo_n, hi_n, t = 0, 1, 0
-    steps = 0
-    while True:
-        scale = 1 << t
-        if (
-            Fraction(hi_n - lo_n, scale) <= width
-            and 0 < lo_n
-            and hi_n < scale
-            and (not require_upper_half or 2 * lo_n > scale)
-        ):
-            return poly, Bracket(Fraction(lo_n, scale), Fraction(hi_n, scale))
-        if steps >= max_steps:
+    steps = _steps_for(width)
+    lo, t = 0, 0
+    while not (
+        t >= steps
+        and 0 < lo
+        and lo + 1 < 1 << t
+        and (not require_upper_half or 2 * lo > 1 << t)
+    ):
+        if t >= 4 * steps + 256:
             raise FalsificationError(
                 "bisection exceeded its step cap before reaching the target bracket"
             )
-        mid_n = lo_n + hi_n
         t += 1
-        lo_n <<= 1
-        hi_n <<= 1
-        sign = poly.scaled_value(mid_n, 1 << t)
-        steps += 1
+        mid = 2 * lo + 1
+        sign = poly.scaled_value(mid, 1 << t)
         if sign == 0:
-            return poly, ExactRoot(Fraction(mid_n, 1 << t))
-        if sign > 0:
-            lo_n = mid_n
-        else:
-            hi_n = mid_n
+            return poly, ExactRoot(Fraction(mid, 1 << t))
+        lo = mid if sign > 0 else 2 * lo
+    return poly, Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
 
 
 def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:

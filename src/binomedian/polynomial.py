@@ -5,6 +5,10 @@ rounds.  The evaluation helpers come in two flavors: an exact Fraction
 Horner scheme, and a homogenized integer form den^deg * P(num/den) whose
 sign (and zeroness) matches P at the rational point while staying in pure
 integer arithmetic.
+
+With c_i the coefficients of P, P(1 - x) has x^j coefficient
+(-1)^j sum_{i>=j} C(i,j) c_i: a Taylor shift to P(1 + y) by synthetic
+division (integer additions only), then y = -x.
 """
 
 from __future__ import annotations
@@ -116,12 +120,13 @@ class IntPolynomial:
         return (v > 0) - (v < 0)
 
     def compose_one_minus_x(self) -> "IntPolynomial":
-        """The polynomial P(1 - x), expanded."""
-        result = IntPolynomial.zero()
-        one_minus_x = IntPolynomial((1, -1))
-        for c in reversed(self.coeffs):
-            result = result * one_minus_x + IntPolynomial((c,))
-        return result
+        """The polynomial P(1 - x), expanded: P(1 + y) by synthetic
+        division, then y = -x."""
+        shifted = list(self.coeffs)
+        for i in range(len(shifted) - 1):
+            for j in range(len(shifted) - 2, i - 1, -1):
+                shifted[j] += shifted[j + 1]
+        return IntPolynomial(tuple(-c if j % 2 else c for j, c in enumerate(shifted)))
 
     def to_json_list(self) -> list[str]:
         """Coefficients as decimal strings, ascending degree."""

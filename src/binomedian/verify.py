@@ -14,7 +14,9 @@ made against exact results.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -22,8 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from .critical import (
     DEFAULT_WIDTH,
@@ -38,7 +38,7 @@ from .critical import (
     monotonicity_check,
     symmetry_identity_check,
 )
-from .distribution import BinomialParams, cdf
+from .distribution import BinomialParams, cdf, pmf_sequence
 from .median import MedianInterval, MedianResult, UniqueMedian, median_binomial
 from .rational import format_rational
 
@@ -340,11 +340,13 @@ def mc_median_check(
     """Draw binomial variates by inverting the exact CDF and compare the
     empirical median with the exact classification.
 
-    The exact CDF is converted to double precision once; uniforms come
-    from a seeded PCG64 stream, so runs are reproducible bit-for-bit.
-    The empirical median uses the lower-midpoint convention for even
-    sample counts.  A UniqueMedian must be hit exactly; a MedianInterval
-    accepts any empirical median inside it.
+    The exact CDF, built as running sums of the exact pmf, is converted to
+    double precision once; uniforms come from a `random.Random(seed)`
+    stream, so runs are reproducible bit-for-bit.  Variates are tallied
+    per value, and the empirical median is read off the tallies with the
+    lower-midpoint convention for even sample counts.  A UniqueMedian
+    must be hit exactly; a MedianInterval accepts any empirical median
+    inside it.
 
     False-failure odds: with margin d = min |CDF boundary - 1/2| over the
     boundaries adjacent to the exact median, Hoeffding gives failure
@@ -358,10 +360,13 @@ def mc_median_check(
         raise ValueError("seed must fit in 64 unsigned bits")
     params = BinomialParams(n, p)
     exact = median_binomial(params.n, params.p)
-    thresholds = np.array([float(cdf(k, params)) for k in range(params.n + 1)])
-    uniforms = np.random.default_rng(seed).random(samples)
-    variates = np.searchsorted(thresholds, uniforms, side="left")
-    empirical = int(np.sort(variates)[(samples - 1) // 2])
+    thresholds = [float(total) for total in itertools.accumulate(pmf_sequence(params))]
+    rng = random.Random(seed)
+    counts = [0] * (params.n + 1)
+    for _ in range(samples):
+        counts[bisect.bisect_left(thresholds, rng.random())] += 1
+    # lower-midpoint order statistic: the first value whose running tally exceeds its rank
+    empirical = bisect.bisect_right(list(itertools.accumulate(counts)), (samples - 1) // 2)
     if isinstance(exact, UniqueMedian):
         agrees = empirical == exact.m
     else:

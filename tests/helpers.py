@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the code paths they are used to
 check: binomial coefficients come from a Pascal-triangle recurrence,
 medians from exhaustive enumeration against the defining inequalities,
-reference roots from integer Newton iteration, and rational roots from
-an exhaustive rational-root-theorem candidate scan.
+reference roots from integer Newton iteration, rational roots from an
+exhaustive rational-root-theorem candidate scan, the CDF polynomials and
+P(1 - x) from explicit polynomial products, and enclosures from a
+bisection that carries both ends and tests the gap as a Fraction.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 
+from binomedian.critical import Bracket, ExactRoot, FalsificationError
 from binomedian.median import FiniteDiscreteDist
 from binomedian.polynomial import IntPolynomial
 
@@ -154,3 +157,76 @@ def rational_root_scan(
         for c in candidate_roots(poly)
         if lo < c < hi and poly.scaled_value(c.numerator, c.denominator) == 0
     ]
+
+
+def pascal_cdf_polynomial(n: int, j: int) -> IntPolynomial:
+    """sum_{i<=j} C(n,i) x^i (1-x)^(n-i), expanded term by term with every
+    (1-x)^m taken from a Pascal-style table of rows."""
+    powers = [[1]]
+    for m in range(1, n + 1):
+        prev = powers[-1]
+        nxt = [0] * (m + 1)
+        for idx, c in enumerate(prev):
+            nxt[idx] += c
+            nxt[idx + 1] -= c
+        powers.append(nxt)
+    acc = [0] * (n + 1)
+    for i in range(j + 1):
+        coeff = math.comb(n, i)
+        for t, c in enumerate(powers[n - i]):
+            acc[i + t] += coeff * c
+    return IntPolynomial(acc)
+
+
+def product_one_minus_x_power(m: int) -> IntPolynomial:
+    """(1-x)^m as m polynomial products."""
+    poly = IntPolynomial((1,))
+    for _ in range(m):
+        poly = poly * IntPolynomial((1, -1))
+    return poly
+
+
+def horner_compose_one_minus_x(poly: IntPolynomial) -> IntPolynomial:
+    """P(1 - x) by Horner's scheme over polynomial products."""
+    result = IntPolynomial.zero()
+    for c in reversed(poly.coeffs):
+        result = result * IntPolynomial((1, -1)) + IntPolynomial((c,))
+    return result
+
+
+def fraction_gap_bisect(
+    poly: IntPolynomial, width: Fraction, require_upper_half: bool = False
+):
+    """Bisection of a polynomial with P(0) > 0 > P(1), carrying both ends
+    over a power-of-two denominator and testing the gap as a Fraction.
+
+    Stops on the same conditions as the library (gap <= width, both ends
+    interior, past 1/2 if asked) and raises FalsificationError after
+    4 * steps(width) + 256 steps, steps(width) counted by halving.
+    """
+    steps_for_width = 0
+    while Fraction(1, 2**steps_for_width) > width:
+        steps_for_width += 1
+    lo_n, hi_n, t = 0, 1, 0
+    while True:
+        scale = 1 << t
+        if (
+            Fraction(hi_n - lo_n, scale) <= width
+            and 0 < lo_n
+            and hi_n < scale
+            and (not require_upper_half or 2 * lo_n > scale)
+        ):
+            return Bracket(Fraction(lo_n, scale), Fraction(hi_n, scale))
+        if t >= 4 * steps_for_width + 256:
+            raise FalsificationError("step cap")
+        mid_n = lo_n + hi_n
+        t += 1
+        lo_n <<= 1
+        hi_n <<= 1
+        sign = poly.scaled_value(mid_n, 1 << t)
+        if sign == 0:
+            return ExactRoot(Fraction(mid_n, 1 << t))
+        if sign > 0:
+            lo_n = mid_n
+        else:
+            hi_n = mid_n

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 from binomedian import cli, verify
+from binomedian.critical import critical_poly
 from binomedian.distribution import BinomialParams, cdf
+from binomedian.rational import parse_rational
 from binomedian.verify import CheckResult, VerificationReport
 from fractions import Fraction
 
@@ -156,6 +159,23 @@ class TestTable:
             (2, 2, "bracket"),
         ]
 
+    def test_rows_enclose_the_roots(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--n-max", "6", "--digits", "10", "--format", "json"
+        )
+        assert code == 0
+        for row in json.loads(out):
+            poly = critical_poly(row["n"], row["k"])
+            if row["kind"] == "exact":
+                assert (row["lo"], row["hi"]) == (None, None)
+                assert poly.sign_at(parse_rational(row["value"])) == 0
+                continue
+            assert row["value"] is None
+            lo, hi = parse_rational(row["lo"]), parse_rational(row["hi"])
+            assert 0 < hi - lo <= Fraction(1, 10**15)
+            assert poly.sign_at(lo) == 1 and poly.sign_at(hi) == -1
+            assert row["decimal"].startswith("0.")
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--n-max", "4", "--digits", "12")
         _, second, _ = run_cli(capsys, "table", "--n-max", "4", "--digits", "12")
@@ -201,6 +221,19 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n-max", "2", "--seed", "-4")
         assert code == 2
         assert err == "error: seed must fit in 64 unsigned bits\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, binomedian.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "False\n"
 
 
 class TestUsageErrors:

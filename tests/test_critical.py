@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from binomedian.critical import (
     Bracket,
     ExactRational,
     ExactRoot,
+    FalsificationError,
     IrrationalBySymmetry,
     IrrationalUpperHalf,
     SeparationError,
@@ -22,7 +24,15 @@ from binomedian.critical import (
 )
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.polynomial import IntPolynomial
-from helpers import HALF, icbrt_fraction, isqrt_fraction, rational_root_scan
+from helpers import (
+    HALF,
+    fraction_gap_bisect,
+    icbrt_fraction,
+    isqrt_fraction,
+    pascal_cdf_polynomial,
+    product_one_minus_x_power,
+    rational_root_scan,
+)
 
 UNIT = (Fraction(0), Fraction(1))
 
@@ -91,6 +101,21 @@ class TestCriticalPoly:
     def test_total_mass_polynomial_is_one(self):
         for n in range(0, 12):
             assert cdf_polynomial(n, n) == IntPolynomial((1,))
+
+    def test_closed_form_matches_pascal_expansion(self):
+        for n in range(0, 61):
+            for j in range(n + 1):
+                assert cdf_polynomial(n, j) == pascal_cdf_polynomial(n, j), (n, j)
+
+    def test_one_minus_x_power_matches_products(self):
+        for m in range(0, 81):
+            assert critical._one_minus_x_power(m) == product_one_minus_x_power(m), m
+
+    def test_leading_coefficient_closed_form(self):
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                want = 2 * (-1) ** (n - k + 1) * math.comb(n - 1, k - 1)
+                assert critical_poly(n, k).leading == want, (n, k)
 
 
 class TestDerivativeIdentity:
@@ -184,6 +209,30 @@ class TestIsolateRoot:
             assert 0 < enclosure.lo < enclosure.hi < 1
             assert enclosure.hi - enclosure.lo <= width
             assert poly.sign_at(enclosure.lo) > 0 > poly.sign_at(enclosure.hi)
+
+    @pytest.mark.parametrize(
+        "width",
+        [Fraction(1), Fraction(1, 7), Fraction(3, 10**12), Fraction(1, 10**35)],
+        ids=["1", "1/7", "3e-12", "1e-35"],
+    )
+    def test_integer_bisection_matches_fraction_gap_oracle(self, width):
+        for n in range(1, 31):
+            middle = (n + 1) // 2
+            for k in range(1, n + 1):
+                poly = critical_poly(n, k)
+                got = critical._enclose(n, k, width)[1]
+                assert got == fraction_gap_bisect(poly, width), (n, k)
+                if k > middle:
+                    got = critical._enclose(n, k, width, require_upper_half=True)[1]
+                    assert got == fraction_gap_bisect(poly, width, True), (n, k)
+
+    def test_step_cap_matches_fraction_gap_oracle(self):
+        # a root below 1/2 never satisfies require_upper_half: both give up
+        poly = critical_poly(6, 2)
+        with pytest.raises(FalsificationError):
+            fraction_gap_bisect(poly, Fraction(1, 7), True)
+        with pytest.raises(FalsificationError):
+            critical._enclose(6, 2, Fraction(1, 7), require_upper_half=True)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binomedian.critical import critical_poly
 from binomedian.polynomial import IntPolynomial
+from helpers import horner_compose_one_minus_x
+
+int_polys = st.lists(st.integers(), max_size=25).map(IntPolynomial)
 
 
 class TestConstruction:
@@ -77,11 +83,21 @@ class TestCompose:
         # 1 - 2(1-x) = -1 + 2x
         assert IntPolynomial((1, -2)).compose_one_minus_x() == IntPolynomial((-1, 2))
 
-    def test_involution(self):
-        rng = random.Random(32)
-        for _ in range(100):
-            p = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 10))))
-            assert p.compose_one_minus_x().compose_one_minus_x() == p
+    @settings(deadline=None)
+    @given(int_polys)
+    def test_involution(self, p):
+        assert p.compose_one_minus_x().compose_one_minus_x() == p
+
+    def test_matches_horner_on_every_critical_polynomial(self):
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                poly = critical_poly(n, k)
+                assert poly.compose_one_minus_x() == horner_compose_one_minus_x(poly), (n, k)
+
+    @settings(deadline=None)
+    @given(int_polys)
+    def test_matches_horner_oracle(self, p):
+        assert p.compose_one_minus_x() == horner_compose_one_minus_x(p)
 
     def test_matches_pointwise_evaluation(self):
         rng = random.Random(33)

@@ -1,7 +1,10 @@
+import bisect
+import random
 from fractions import Fraction
 
 import pytest
 
+from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
 from binomedian.verify import (
     CHECK_NAMES,
@@ -91,6 +94,30 @@ class TestMcMedianCheck:
         first = mc_median_check(7, Fraction(2, 5), samples=5000, seed=11)
         second = mc_median_check(7, Fraction(2, 5), samples=5000, seed=11)
         assert first == second
+
+    def test_deterministic_per_seed_and_agrees_on_acceptance_cases(self):
+        cases = [(10, Fraction(3, 10)), (3, Fraction(1, 2))]
+        for n, p in cases:
+            for seed in range(5):
+                first = mc_median_check(n, p, samples=10**5, seed=seed)
+                assert first == mc_median_check(n, p, samples=10**5, seed=seed)
+                assert first.agrees, (n, p, seed)
+
+    def test_tallied_median_matches_sorted_variates(self):
+        # oracle: thresholds from n+1 cdf calls, every variate kept and sorted
+        for n, p, samples, seed in [
+            (7, Fraction(2, 5), 5000, 11),
+            (3, Fraction(1, 2), 4, 2),
+            (12, Fraction(1, 13), 999, 5),
+            (20, Fraction(19, 20), 1000, 8),
+        ]:
+            thresholds = [float(cdf(k, BinomialParams(n, p))) for k in range(n + 1)]
+            rng = random.Random(seed)
+            variates = sorted(
+                bisect.bisect_left(thresholds, rng.random()) for _ in range(samples)
+            )
+            result = mc_median_check(n, p, samples=samples, seed=seed)
+            assert result.empirical_median == variates[(samples - 1) // 2]
 
     def test_single_sample(self):
         result = mc_median_check(4, Fraction(1), samples=1, seed=0)
