@@ -1,14 +1,37 @@
-"""Exact binomial pmf, CDF, and survival function at rational p."""
+"""Exact binomial pmf, CDF, and survival function at rational p.
+
+Everything here runs on one integer kernel.  At p = a/b with c = b - a,
+`binomial_weights` yields the weights w_i = C(n, i)·a^i·c^(n-i), so that
+P(X = i) = w_i / b^n and the weights sum to b^n.  It walks the term-ratio
+recurrence
+
+    w_0 = c^n,    w_{i+1} = w_i·(n - i)·a // ((i + 1)·c),
+
+and every division is exact: w_i·(n - i)·a = C(n, i+1)·(i + 1)·a^(i+1)·c^(n-i).
+A scan therefore runs on integers of about n·log2(b) bits with no gcd per
+step, and the one `Fraction` a caller needs is built at the end.  The CDF
+sums whichever tail is shorter, by the reflection
+F(k; n, a/b) = 1 - F(n - k - 1; n, c/b).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Iterator
 
 from .rational import as_exact, binomial_coeff
 
-__all__ = ["ParameterError", "BinomialParams", "pmf", "cdf", "survival", "pmf_sequence"]
+__all__ = [
+    "ParameterError",
+    "BinomialParams",
+    "binomial_weights",
+    "pmf",
+    "cdf",
+    "survival",
+    "pmf_sequence",
+]
 
 
 class ParameterError(ValueError):
@@ -30,49 +53,59 @@ class BinomialParams:
             raise ParameterError(f"p must lie in [0, 1], got {self.p}")
 
 
+def binomial_weights(n: int, a: int, c: int) -> Iterator[int]:
+    """Yield w_i = C(n, i)·a^i·c^(n-i) for i = 0, ..., n, for a, c >= 0.
+
+    At p = a/(a + c) these are the masses P(X = i) scaled by (a + c)^n.
+    Each step of the recurrence is one exact integer division.
+    """
+    if c == 0:
+        # point mass at n; the recurrence would divide by c = 0
+        yield from repeat(0, n)
+        yield a**n
+        return
+    w = c**n
+    yield w
+    for i in range(n):
+        w = w * ((n - i) * a) // ((i + 1) * c)
+        yield w
+
+
 def pmf(k: int, params: BinomialParams) -> Fraction:
     """P(X = k), exactly; zero outside 0 <= k <= n."""
     n, p = params.n, params.p
     if k < 0 or k > n:
         return Fraction(0)
-    return binomial_coeff(n, k) * p**k * (1 - p) ** (n - k)
+    a, b = p.numerator, p.denominator
+    return Fraction(binomial_coeff(n, k) * a**k * (b - a) ** (n - k), b**n)
 
 
 def pmf_sequence(params: BinomialParams) -> Iterator[Fraction]:
-    """Yield P(X = 0), ..., P(X = n) using the incremental mass ratio.
-
-    Each successive mass is the previous one times (n-k)p / ((k+1)(1-p)),
-    so the whole sequence costs O(n) exact operations instead of O(n)
-    fresh power computations.
-    """
+    """Yield P(X = 0), ..., P(X = n), one integer weight per mass."""
     n, p = params.n, params.p
-    if p == 1:
-        # point mass at n; the ratio recurrence would divide by 1-p = 0
-        for k in range(n):
-            yield Fraction(0)
-        yield Fraction(1)
-        return
-    ratio = p / (1 - p)
-    mass = (1 - p) ** n
-    yield mass
-    for k in range(n):
-        mass = mass * ratio * (n - k) / (k + 1)
-        yield mass
+    a, b = p.numerator, p.denominator
+    total = b**n
+    for w in binomial_weights(n, a, b - a):
+        yield Fraction(w, total)
 
 
 def cdf(k: int, params: BinomialParams) -> Fraction:
-    """P(X <= k), exactly; clamped to 0 below the support and 1 above."""
-    n = params.n
+    """P(X <= k), exactly; clamped to 0 below the support and 1 above.
+
+    Sums min(k + 1, n - k) weights: the lower tail directly, or the upper
+    tail as the lower tail of n - X ~ B(n, 1 - p).
+    """
+    n, p = params.n, params.p
     if k < 0:
         return Fraction(0)
     if k >= n:
         return Fraction(1)
-    total = Fraction(0)
-    for i, mass in enumerate(pmf_sequence(params)):
-        total += mass
-        if i == k:
-            break
-    return total
+    a, b = p.numerator, p.denominator
+    total = b**n
+    if k + 1 <= n - k:
+        return Fraction(sum(islice(binomial_weights(n, a, b - a), k + 1)), total)
+    upper = sum(islice(binomial_weights(n, b - a, a), n - k))
+    return Fraction(total - upper, total)
 
 
 def survival(k: int, params: BinomialParams) -> Fraction:

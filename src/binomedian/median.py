@@ -5,6 +5,15 @@ and the unique (strong) median when both inequalities are strict.  When no
 strong median exists the medians form a closed interval whose endpoints
 both lie in the support and carry exact half tails; `median_finite` reports
 that interval by its endpoints.
+
+`median_binomial` decides the binomial case on integers.  At p = a/b, k is
+the least point with P(X <= k) >= 1/2 exactly when 2·Σ_{i<=k} w_i >= b^n,
+for the weights w_i = C(n, i)·a^i·(b - a)^(n-i) of
+`distribution.binomial_weights`, and equality is the interval case.  For
+p > 1/2 it uses the reflection median(n, p) = n - median(n, 1 - p), which
+maps an interval [m1, m2] to [n - m2, n - m1].  The median lies in
+{floor(np), ceil(np)} (Kaas & Buhrman 1980), so the scan stops after about
+min(np, n(1 - p)) steps.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .distribution import BinomialParams, pmf_sequence
+from .distribution import BinomialParams, binomial_weights, pmf_sequence
 from .rational import as_exact, format_rational
 
 __all__ = [
@@ -98,14 +107,17 @@ class MedianClass(enum.Enum):
     UNIQUE_MEDIAN = "unique-median"
 
 
-def _half_crossing(masses: Iterable[Fraction]) -> tuple[int, bool]:
-    """Index of the first cumulative mass >= 1/2, and whether it is exactly 1/2."""
-    cumulative = Fraction(0)
+def _half_crossing(
+    masses: Iterable[Fraction | int], total: Fraction | int
+) -> tuple[int, bool]:
+    """Index of the first running sum s of `masses` with 2·s >= total, and
+    whether 2·s == total exactly; the masses must sum to `total`."""
+    cumulative = 0
     for i, mass in enumerate(masses):
         cumulative += mass
-        if cumulative >= _HALF:
-            return i, cumulative == _HALF
-    raise AssertionError("unreachable: masses sum to 1")
+        if 2 * cumulative >= total:
+            return i, 2 * cumulative == total
+    raise AssertionError("unreachable: masses sum to total")
 
 
 def median_finite(dist: FiniteDiscreteDist) -> MedianResult:
@@ -116,7 +128,7 @@ def median_finite(dist: FiniteDiscreteDist) -> MedianResult:
     means the medians form the interval up to the next support point;
     otherwise the point is the unique median.
     """
-    i, tie = _half_crossing(dist.probs)
+    i, tie = _half_crossing(dist.probs, 1)
     if tie:
         # the remaining mass is exactly 1/2, so a next point exists
         return MedianInterval(dist.support[i], dist.support[i + 1])
@@ -124,16 +136,24 @@ def median_finite(dist: FiniteDiscreteDist) -> MedianResult:
 
 
 def median_binomial(n: int, p: Fraction | int) -> MedianResult:
-    """Median of B(n, p), scanning the exact CDF upward from k = 0."""
+    """Median of B(n, p), scanning the integer weights of the shorter tail."""
     params = BinomialParams(n, p)
     if params.p == 0:
         return UniqueMedian(Fraction(0))
     if params.p == 1:
         return UniqueMedian(Fraction(n))
-    k, tie = _half_crossing(pmf_sequence(params))
+    a, b = params.p.numerator, params.p.denominator
+    # above 1/2, scan n - X ~ B(n, 1 - p): the shorter tail
+    reflect = 2 * a > b
+    if reflect:
+        a = b - a
+    k, tie = _half_crossing(binomial_weights(n, a, b - a), b**n)
+    m1, m2 = k, (k + 1 if tie else k)
+    if reflect:
+        m1, m2 = n - m2, n - m1
     if tie:
-        return MedianInterval(Fraction(k), Fraction(k + 1))
-    return UniqueMedian(Fraction(k))
+        return MedianInterval(Fraction(m1), Fraction(m2))
+    return UniqueMedian(Fraction(m1))
 
 
 def check_median(dist: FiniteDiscreteDist, m: Fraction | int) -> MedianClass:

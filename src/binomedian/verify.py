@@ -38,7 +38,7 @@ from .critical import (
     monotonicity_check,
     symmetry_identity_check,
 )
-from .distribution import BinomialParams, cdf, pmf_sequence
+from .distribution import BinomialParams, binomial_weights, cdf
 from .median import MedianInterval, MedianResult, UniqueMedian, median_binomial
 from .rational import format_rational
 
@@ -227,6 +227,8 @@ def _check_median_sweep(
 def _check_evaluation_consistency(
     n: int, denom_max: int, seed: int
 ) -> tuple[int, str | None]:
+    # The two sides share no code: Horner on the integer coefficients of
+    # `critical_poly` against the CDF summed by the binomial weight kernel.
     if denom_max < 2:
         return 0, None
     rng = _rng_for(seed, "evaluation_consistency", n)
@@ -340,13 +342,13 @@ def mc_median_check(
     """Draw binomial variates by inverting the exact CDF and compare the
     empirical median with the exact classification.
 
-    The exact CDF, built as running sums of the exact pmf, is converted to
-    double precision once; uniforms come from a `random.Random(seed)`
-    stream, so runs are reproducible bit-for-bit.  Variates are tallied
-    per value, and the empirical median is read off the tallies with the
-    lower-midpoint convention for even sample counts.  A UniqueMedian
-    must be hit exactly; a MedianInterval accepts any empirical median
-    inside it.
+    The exact CDF, built as running sums of the integer pmf weights, is
+    converted to double precision once; uniforms come from a
+    `random.Random(seed)` stream, so runs are reproducible bit-for-bit.
+    Variates are tallied per value, and the empirical median is read off
+    the tallies with the lower-midpoint convention for even sample counts.
+    A UniqueMedian must be hit exactly; a MedianInterval accepts any
+    empirical median inside it.
 
     False-failure odds: with margin d = min |CDF boundary - 1/2| over the
     boundaries adjacent to the exact median, Hoeffding gives failure
@@ -360,7 +362,13 @@ def mc_median_check(
         raise ValueError("seed must fit in 64 unsigned bits")
     params = BinomialParams(n, p)
     exact = median_binomial(params.n, params.p)
-    thresholds = [float(total) for total in itertools.accumulate(pmf_sequence(params))]
+    a, b = params.p.numerator, params.p.denominator
+    scale = b**params.n
+    # int / int rounds correctly, as float(Fraction) does
+    thresholds = [
+        running / scale
+        for running in itertools.accumulate(binomial_weights(params.n, a, b - a))
+    ]
     rng = random.Random(seed)
     counts = [0] * (params.n + 1)
     for _ in range(samples):

@@ -5,8 +5,9 @@ check: binomial coefficients come from a Pascal-triangle recurrence,
 medians from exhaustive enumeration against the defining inequalities,
 reference roots from integer Newton iteration, rational roots from an
 exhaustive rational-root-theorem candidate scan, the CDF polynomials and
-P(1 - x) from explicit polynomial products, and enclosures from a
-bisection that carries both ends and tests the gap as a Fraction.
+P(1 - x) from explicit polynomial products, enclosures from a bisection
+that carries both ends and tests the gap as a Fraction, and binomial
+masses, CDFs and medians from a chain of Fraction mass ratios.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from binomedian.critical import Bracket, ExactRoot, FalsificationError
-from binomedian.median import FiniteDiscreteDist
+from binomedian.distribution import BinomialParams
+from binomedian.median import FiniteDiscreteDist, MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
 
 HALF = Fraction(1, 2)
@@ -230,3 +233,47 @@ def fraction_gap_bisect(
             lo_n = mid_n
         else:
             hi_n = mid_n
+
+
+def fraction_pmf_sequence(params: BinomialParams) -> Iterator[Fraction]:
+    """P(X = 0), ..., P(X = n), each the previous mass times the Fraction
+    ratio (n-k)p / ((k+1)(1-p))."""
+    n, p = params.n, params.p
+    if p == 1:
+        for _ in range(n):
+            yield Fraction(0)
+        yield Fraction(1)
+        return
+    ratio = p / (1 - p)
+    mass = (1 - p) ** n
+    yield mass
+    for k in range(n):
+        mass = mass * ratio * (n - k) / (k + 1)
+        yield mass
+
+
+def fraction_cdf(k: int, params: BinomialParams) -> Fraction:
+    """P(X <= k) as a running Fraction sum of `fraction_pmf_sequence`."""
+    if k < 0:
+        return Fraction(0)
+    if k >= params.n:
+        return Fraction(1)
+    total = Fraction(0)
+    for i, mass in enumerate(fraction_pmf_sequence(params)):
+        total += mass
+        if i == k:
+            break
+    return total
+
+
+def fraction_median_binomial(n: int, p: Fraction):
+    """Median of B(n, p) from the first running Fraction sum >= 1/2 of
+    `fraction_pmf_sequence`; exactly 1/2 is the interval case."""
+    cumulative = Fraction(0)
+    for k, mass in enumerate(fraction_pmf_sequence(BinomialParams(n, p))):
+        cumulative += mass
+        if cumulative >= HALF:
+            if cumulative == HALF:
+                return MedianInterval(Fraction(k), Fraction(k + 1))
+            return UniqueMedian(Fraction(k))
+    raise AssertionError("unreachable: masses sum to 1")

@@ -8,6 +8,7 @@ in a subprocess and shared between criteria 1 and 9.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from math import comb
 
 import pytest
 
+import binomedian
 from binomedian.critical import (
     ExactRational,
     certify,
@@ -65,8 +67,12 @@ def passed(criterion: str, detail: str) -> None:
 
 
 def run_battery():
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(binomedian.__file__)))
     start = time.perf_counter()
-    proc = subprocess.run(VERIFY_ARGV, capture_output=True)
+    proc = subprocess.run(
+        VERIFY_ARGV, capture_output=True, env={**os.environ, "PYTHONPATH": src}
+    )
     return proc, time.perf_counter() - start
 
 

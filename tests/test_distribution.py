@@ -96,6 +96,12 @@ class TestCdf:
             k = rng.randint(-1, n + 1)
             assert cdf(k, BinomialParams(n, p)) == direct_cdf(k, n, p)
 
+    def test_n_2000_against_direct_sum_oracle(self):
+        # k = 999 sums the lower tail, k = 1000 the upper one
+        params = BinomialParams(2000, Fraction(5, 11))
+        for k in (999, 1000):
+            assert cdf(k, params) == direct_cdf(k, 2000, params.p)
+
 
 class TestSurvival:
     def test_full_tail(self):
