@@ -167,8 +167,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError("n-max must be >= 1")
     if args.denom_max < 1:
         raise CliError("denom-max must be >= 1")
-    if not 0 <= args.seed < 2**64:
-        raise CliError("seed must fit in 64 unsigned bits")
     digits = _check_digits(args.digits)
     threads = _thread_count(args.threads)
     report = verify_theorem(

@@ -13,7 +13,9 @@ for the weights w_i = C(n, i)·a^i·(b - a)^(n-i) of
 p > 1/2 it uses the reflection median(n, p) = n - median(n, 1 - p), which
 maps an interval [m1, m2] to [n - m2, n - m1].  The median lies in
 {floor(np), ceil(np)} (Kaas & Buhrman 1980), so the scan stops after about
-min(np, n(1 - p)) steps.
+min(np, n(1 - p)) steps.  p = 0 and p = 1 need no special case: at b = 1
+the weights are (1, 0, ..., 0), so the scan stops at k = 0, and the
+reflection maps p = 1 to n.
 """
 
 from __future__ import annotations
@@ -138,10 +140,6 @@ def median_finite(dist: FiniteDiscreteDist) -> MedianResult:
 def median_binomial(n: int, p: Fraction | int) -> MedianResult:
     """Median of B(n, p), scanning the integer weights of the shorter tail."""
     params = BinomialParams(n, p)
-    if params.p == 0:
-        return UniqueMedian(Fraction(0))
-    if params.p == 1:
-        return UniqueMedian(Fraction(n))
     a, b = params.p.numerator, params.p.denominator
     # above 1/2, scan n - X ~ B(n, 1 - p): the shorter tail
     reflect = 2 * a > b

@@ -1,10 +1,9 @@
 """Dense integer-coefficient polynomials, ascending degree order.
 
 Coefficients are plain Python ints, so nothing here ever overflows or
-rounds.  The evaluation helpers come in two flavors: an exact Fraction
-Horner scheme, and a homogenized integer form den^deg * P(num/den) whose
-sign (and zeroness) matches P at the rational point while staying in pure
-integer arithmetic.
+rounds.  Evaluation has one kernel: the homogenized integer Horner form
+den^deg * P(num/den), which shares sign and zeroness with P at the
+rational point.  The exact value P(x) is that integer over den^deg.
 
 With c_i the coefficients of P, P(1 - x) has x^j coefficient
 (-1)^j sum_{i>=j} C(i,j) c_i: a Taylor shift to P(1 + y) by synthetic
@@ -34,7 +33,11 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in self.coeffs)))
+        coeffs = tuple(self.coeffs)
+        for c in coeffs:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -74,13 +77,9 @@ class IntPolynomial:
 
     def shift(self, power: int) -> "IntPolynomial":
         """Multiply by x**power."""
-        if self.is_zero:
-            return self
         return IntPolynomial((0,) * power + self.coeffs)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -91,17 +90,16 @@ class IntPolynomial:
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
     def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation."""
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
+        """P(x), exactly: `scaled_value` over den**degree."""
+        return Fraction(
+            self.scaled_value(x.numerator, x.denominator), x.denominator ** max(self.degree, 0)
+        )
 
     def scaled_value(self, num: int, den: int) -> int:
         """den**degree * P(num/den) as an integer, for den > 0.
 
-        Shares sign and zeroness with P(num/den), so bisection and root
-        candidate tests never need Fraction arithmetic.
+        Shares sign and zeroness with P(num/den), so sign tests never need
+        Fraction arithmetic; `evaluate` and `sign_at` are built on it.
         """
         if den <= 0:
             raise ValueError("den must be positive")

@@ -86,10 +86,12 @@ def binomial_coeff(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _scaled_floor(x: Fraction, digits: int) -> int:
-    """floor(x * 10**digits) for x >= 0."""
-    scaled = x * 10**digits
-    return scaled.numerator // scaled.denominator
+def _fixed_point(q: int, d: int) -> str:
+    """q / 10**d in plain decimal notation with exactly d places, q >= 0."""
+    if d == 0:
+        return str(q)
+    ip, fp = divmod(q, 10**d)
+    return f"{ip}.{str(fp).zfill(d)}"
 
 
 def decimal_string(x: Fraction, digits: int) -> str:
@@ -103,24 +105,16 @@ def decimal_string(x: Fraction, digits: int) -> str:
         raise ValueError("decimal_string expects a nonnegative value")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    scale = 10**digits
-    num, den = (x * scale).numerator, (x * scale).denominator
-    if den == 1:
+    q, r = divmod(x.numerator * 10**digits, x.denominator)
+    d = digits
+    if r == 0:
         # terminates within the budget: trim to the shortest exact form
-        q = num
-        d = digits
         while d > 0 and q % 10 == 0:
             q //= 10
             d -= 1
-        if d == 0:
-            return str(q)
-        ip, fp = divmod(q, 10**d)
-        return f"{ip}.{str(fp).zfill(d)}"
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
+    elif 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1):
         q += 1
-    ip, fp = divmod(q, scale)
-    return f"{ip}.{str(fp).zfill(digits)}"
+    return _fixed_point(q, d)
 
 
 def shared_prefix_decimal(lo: Fraction, hi: Fraction, digits: int) -> str:
@@ -135,13 +129,10 @@ def shared_prefix_decimal(lo: Fraction, hi: Fraction, digits: int) -> str:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     d = digits
-    tl = _scaled_floor(lo, d)
-    th = _scaled_floor(hi, d)
+    tl = lo.numerator * 10**d // lo.denominator
+    th = hi.numerator * 10**d // hi.denominator
     while d > 0 and tl != th:
         tl //= 10
         th //= 10
         d -= 1
-    if d == 0:
-        return str(tl)
-    ip, fp = divmod(tl, 10**d)
-    return f"{ip}.{str(fp).zfill(d)}"
+    return _fixed_point(tl, d)

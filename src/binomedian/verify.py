@@ -139,7 +139,7 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
     middle = (n + 1) // 2
     try:
         certs = certify_range(n, width)
-    except (FalsificationError, SeparationError) as exc:
+    except FalsificationError as exc:
         return n, f"n={n} certificate construction failed: {exc}"
     first_bad = None
     for cert in certs:
@@ -247,10 +247,11 @@ def _check_evaluation_consistency(
 
 
 def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
-    """[fn(task) for task in tasks], run in `threads` worker processes when
-    threads > 1; a worker that dies raises BrokenProcessPool."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """[fn(task) for task in tasks], run in min(threads, len(tasks)) worker
+    processes when that exceeds 1; a worker that dies raises BrokenProcessPool."""
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
 

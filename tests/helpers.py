@@ -6,8 +6,10 @@ medians from exhaustive enumeration against the defining inequalities,
 reference roots from integer Newton iteration, rational roots from an
 exhaustive rational-root-theorem candidate scan, the CDF polynomials and
 P(1 - x) from explicit polynomial products, enclosures from a bisection
-that carries both ends and tests the gap as a Fraction, and binomial
-masses, CDFs and medians from a chain of Fraction mass ratios.
+that carries both ends and tests the gap as a Fraction, binomial
+masses, CDFs and medians from a chain of Fraction mass ratios, polynomial
+values from a Fraction Horner loop, and decimal renderings from Fraction
+products.
 """
 
 from __future__ import annotations
@@ -277,3 +279,56 @@ def fraction_median_binomial(n: int, p: Fraction):
                 return MedianInterval(Fraction(k), Fraction(k + 1))
             return UniqueMedian(Fraction(k))
     raise AssertionError("unreachable: masses sum to 1")
+
+
+def fraction_horner(poly: IntPolynomial, x: Fraction | int) -> Fraction:
+    """P(x) by Horner's scheme in Fraction arithmetic."""
+    value = Fraction(0)
+    for c in reversed(poly.coeffs):
+        value = value * x + c
+    return value
+
+
+def _fraction_scaled_floor(x: Fraction, digits: int) -> int:
+    """floor(x * 10**digits) for x >= 0, via a Fraction product."""
+    scaled = x * 10**digits
+    return scaled.numerator // scaled.denominator
+
+
+def fraction_decimal_string(x: Fraction, digits: int) -> str:
+    """`rational.decimal_string` from the reduced Fraction x * 10**digits:
+    the shortest exact form when it is an integer, else rounded half to
+    even at `digits` places."""
+    scale = 10**digits
+    num, den = (x * scale).numerator, (x * scale).denominator
+    if den == 1:
+        q = num
+        d = digits
+        while d > 0 and q % 10 == 0:
+            q //= 10
+            d -= 1
+        if d == 0:
+            return str(q)
+        ip, fp = divmod(q, 10**d)
+        return f"{ip}.{str(fp).zfill(d)}"
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    ip, fp = divmod(q, scale)
+    return f"{ip}.{str(fp).zfill(digits)}"
+
+
+def fraction_shared_prefix_decimal(lo: Fraction, hi: Fraction, digits: int) -> str:
+    """`rational.shared_prefix_decimal` from the Fraction floors of
+    lo * 10**digits and hi * 10**digits, cut back until they agree."""
+    d = digits
+    tl = _fraction_scaled_floor(lo, d)
+    th = _fraction_scaled_floor(hi, d)
+    while d > 0 and tl != th:
+        tl //= 10
+        th //= 10
+        d -= 1
+    if d == 0:
+        return str(tl)
+    ip, fp = divmod(tl, 10**d)
+    return f"{ip}.{str(fp).zfill(d)}"

@@ -255,6 +255,38 @@ class TestUsageErrors:
         assert err == "error: invalid thread count 'zero'\n"
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, max_workers, record):
+        record.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestThreadCap:
+    # a real pool would fork all max_workers processes at the first submit
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    @pytest.mark.parametrize("n_max,pools", [("2", [2]), ("1", [])], ids=["two_tasks", "one_task"])
+    def test_workers_capped_at_task_count(self, capsys, monkeypatch, command, n_max, pools):
+        record = []
+        monkeypatch.setattr(
+            verify, "ProcessPoolExecutor", lambda max_workers: _SerialPool(max_workers, record)
+        )
+        code, out, _ = run_cli(capsys, command, "--n-max", n_max, "--threads", "500")
+        _, serial, _ = run_cli(capsys, command, "--n-max", n_max)
+        assert code == 0
+        assert out == serial
+        assert record == pools
+
+
 class TestWorkerCrash:
     @pytest.mark.parametrize(
         "module,task_fn,command",

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from binomedian.critical import critical_poly
 from binomedian.polynomial import IntPolynomial
-from helpers import horner_compose_one_minus_x
+from helpers import fraction_horner, horner_compose_one_minus_x
 
 int_polys = st.lists(st.integers(), max_size=25).map(IntPolynomial)
+rationals = st.fractions(max_denominator=2**130)
 
 
 class TestConstruction:
@@ -21,6 +22,14 @@ class TestConstruction:
         assert IntPolynomial.zero().degree == -1
         assert IntPolynomial.zero().constant == 0
         assert IntPolynomial.zero().leading == 0
+
+    @pytest.mark.parametrize(
+        "coeffs", [(0.5, 1), ("3",), (True, 1), (1, Fraction(2))], ids=["float", "str", "bool", "Fraction"]
+    )
+    def test_rejects_non_int_coefficients(self, coeffs):
+        # int() would round 0.5 to 0 and parse "3": nothing here may round
+        with pytest.raises(TypeError):
+            IntPolynomial(coeffs)
 
     def test_degree_constant_leading(self):
         p = IntPolynomial((1, -4, 2))
@@ -43,6 +52,9 @@ class TestArithmetic:
     def test_mul(self):
         # (1 - x)(1 + x) = 1 - x^2
         assert IntPolynomial((1, -1)) * IntPolynomial((1, 1)) == IntPolynomial((1, 0, -1))
+        assert (IntPolynomial((1, -1)) * IntPolynomial.zero()).is_zero
+        assert (IntPolynomial.zero() * IntPolynomial((2,))).is_zero
+        assert (IntPolynomial.zero() * IntPolynomial.zero()).is_zero
 
     def test_derivative(self):
         assert IntPolynomial((1, -2, 1)).derivative() == IntPolynomial((-2, 2))
@@ -65,7 +77,17 @@ class TestEvaluation:
             den = rng.randint(1, 20)
             x = Fraction(num, den)
             scaled = p.scaled_value(num, den)
-            assert Fraction(scaled, den ** max(p.degree, 0)) == p.evaluate(x)
+            assert Fraction(scaled, den ** max(p.degree, 0)) == fraction_horner(p, x)
+            assert p.evaluate(x) == fraction_horner(p, x)
+
+    @settings(deadline=None)
+    @given(int_polys, st.one_of(rationals, st.integers()))
+    def test_evaluate_and_scaled_value_match_fraction_horner_oracle(self, p, x):
+        x = Fraction(x)
+        expected = fraction_horner(p, x)
+        assert p.evaluate(x) == expected
+        scaled = p.scaled_value(x.numerator, x.denominator)
+        assert Fraction(scaled, x.denominator ** max(p.degree, 0)) == expected
 
     def test_scaled_value_requires_positive_denominator(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomedian.rational import (
     RationalParseError,
@@ -14,7 +16,30 @@ from binomedian.rational import (
     parse_rational,
     shared_prefix_decimal,
 )
-from helpers import pascal_row
+from helpers import fraction_decimal_string, fraction_shared_prefix_decimal, pascal_row
+
+# every a/b with b < 200 and a <= 2b: terminating expansions and ties
+# (b dividing 2 * 10**digits) included
+GRID = sorted({Fraction(a, b) for b in range(1, 200) for a in range(2 * b + 1)})
+
+denominators = st.one_of(
+    st.integers(1, 2**130),
+    st.integers(1, 10**40),
+    st.builds(lambda i, j: 2**i * 5**j, st.integers(0, 130), st.integers(0, 40)),
+)
+
+
+@st.composite
+def nonnegative_rationals(draw):
+    den = draw(denominators)
+    return Fraction(draw(st.integers(0, 3 * den)), den)
+
+
+@st.composite
+def brackets(draw):
+    lo = draw(nonnegative_rationals())
+    gap = draw(st.one_of(nonnegative_rationals(), denominators.map(lambda d: Fraction(1, d))))
+    return lo, lo + gap
 
 
 class TestMakeRational:
@@ -170,6 +195,16 @@ class TestDecimalString:
         assert decimal_string(Fraction(1, 8), 2) == "0.12"
         assert decimal_string(Fraction(3, 8), 2) == "0.38"
 
+    def test_grid_matches_fraction_oracle(self):
+        for x in GRID:
+            for digits in (1, 2, 3):
+                assert decimal_string(x, digits) == fraction_decimal_string(x, digits), (x, digits)
+
+    @settings(deadline=None, max_examples=500)
+    @given(nonnegative_rationals(), st.integers(1, 40))
+    def test_matches_fraction_oracle(self, x, digits):
+        assert decimal_string(x, digits) == fraction_decimal_string(x, digits)
+
     def test_rejects_negative_and_bad_digits(self):
         with pytest.raises(ValueError):
             decimal_string(Fraction(-1, 2), 5)
@@ -198,6 +233,19 @@ class TestSharedPrefixDecimal:
             digits = len(text.split(".")[1]) if "." in text else 0
             scale = 10**digits
             assert (lo * scale).__floor__() == (hi * scale).__floor__()
+
+    def test_grid_matches_fraction_oracle(self):
+        # degenerate and adjacent-neighbour brackets over the sorted grid
+        for lo, hi in list(zip(GRID, GRID)) + list(zip(GRID, GRID[1:])):
+            for digits in (1, 2, 3):
+                expected = fraction_shared_prefix_decimal(lo, hi, digits)
+                assert shared_prefix_decimal(lo, hi, digits) == expected, (lo, hi, digits)
+
+    @settings(deadline=None, max_examples=500)
+    @given(brackets(), st.integers(1, 40))
+    def test_matches_fraction_oracle(self, bracket, digits):
+        lo, hi = bracket
+        assert shared_prefix_decimal(lo, hi, digits) == fraction_shared_prefix_decimal(lo, hi, digits)
 
     def test_rejects_reversed_bracket(self):
         with pytest.raises(ValueError):
