@@ -20,6 +20,10 @@ The irrationality certificates mechanize a three-way case split:
   at index n-k+1 (checked coefficient-by-coefficient), so the root is
   1 minus the partner's and inherits its irrationality.
 
+Every certificate status exposes the enclosure it rests on (`enclosure`),
+so `certify_range` yields all n enclosures of one n while bisecting only
+the upper half.
+
 Every branch re-checks the exact facts it relies on and raises
 FalsificationError instead of ever passing silently.
 """
@@ -330,6 +334,10 @@ class ExactRational:
 
     root: Fraction
 
+    @property
+    def enclosure(self) -> ExactRoot:
+        return ExactRoot(self.root)
+
     def to_json_dict(self, digits: int = 30) -> dict:
         return {"type": "exact_rational", "root": format_rational(self.root)}
 
@@ -362,6 +370,13 @@ class IrrationalBySymmetry:
 
     partner_k: int
     partner: "IrrationalityCertificate"
+
+    @property
+    def enclosure(self) -> Bracket:
+        """The partner's bracket reflected to [1 - hi, 1 - lo], which holds
+        this root by the reflection identity."""
+        partner = self.partner.status.enclosure
+        return Bracket(1 - partner.hi, 1 - partner.lo)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
@@ -442,5 +457,12 @@ def certify(
 
 def certify_range(n: int, width: Fraction = DEFAULT_WIDTH) -> list[IrrationalityCertificate]:
     """Certificates for every k in [1, n], computing each upper-half
-    enclosure once and sharing it with its symmetric partner."""
+    enclosure once and sharing it with its symmetric partner.
+
+    Each status's `enclosure` equals `isolate_root(n, k, width)`: the
+    reflection of a level-t dyadic cell is the level-t cell, and the stop
+    conditions of the bisection are symmetric about 1/2.  The exception is
+    an upper-half root within `width` of 1/2, where `require_upper_half`
+    bisects further, so that bracket and its reflection are narrower.
+    """
     return _certificates(n, range(1, n + 1), width)

@@ -39,10 +39,6 @@ class IntPolynomial:
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", _trim(coeffs))
 
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -56,19 +52,6 @@ class IntPolynomial:
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
@@ -78,13 +61,6 @@ class IntPolynomial:
     def shift(self, power: int) -> "IntPolynomial":
         """Multiply by x**power."""
         return IntPolynomial((0,) * power + self.coeffs)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
@@ -99,7 +75,7 @@ class IntPolynomial:
         """den**degree * P(num/den) as an integer, for den > 0.
 
         Shares sign and zeroness with P(num/den), so sign tests never need
-        Fraction arithmetic; `evaluate` and `sign_at` are built on it.
+        Fraction arithmetic; `evaluate` is built on it.
         """
         if den <= 0:
             raise ValueError("den must be positive")
@@ -112,11 +88,6 @@ class IntPolynomial:
             value = value * num + c * den_power
         return value
 
-    def sign_at(self, x: Fraction) -> int:
-        """Sign of P(x): -1, 0, or +1."""
-        v = self.scaled_value(x.numerator, x.denominator)
-        return (v > 0) - (v < 0)
-
     def compose_one_minus_x(self) -> "IntPolynomial":
         """The polynomial P(1 - x), expanded: P(1 + y) by synthetic
         division, then y = -x."""
@@ -125,7 +96,3 @@ class IntPolynomial:
             for j in range(len(shifted) - 2, i - 1, -1):
                 shifted[j] += shifted[j + 1]
         return IntPolynomial(tuple(-c if j % 2 else c for j, c in enumerate(shifted)))
-
-    def to_json_list(self) -> list[str]:
-        """Coefficients as decimal strings, ascending degree."""
-        return [str(c) for c in self.coeffs]

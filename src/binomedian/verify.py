@@ -166,7 +166,7 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
 def _check_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
     try:
         ordered = monotonicity_check(n, width)
-    except SeparationError as exc:
+    except (SeparationError, FalsificationError) as exc:
         return 1, f"n={n} {exc}"
     return 1, None if ordered else f"n={n} critical probabilities not ascending"
 

@@ -6,10 +6,10 @@ medians from exhaustive enumeration against the defining inequalities,
 reference roots from integer Newton iteration, rational roots from an
 exhaustive rational-root-theorem candidate scan, the CDF polynomials and
 P(1 - x) from explicit polynomial products, enclosures from a bisection
-that carries both ends and tests the gap as a Fraction, binomial
-masses, CDFs and medians from a chain of Fraction mass ratios, polynomial
-values from a Fraction Horner loop, and decimal renderings from Fraction
-products.
+that carries both ends and tests the gap as a Fraction, `table` rows from
+one `isolate_root` call per k, binomial masses, CDFs and medians from a
+chain of Fraction mass ratios, polynomial values from a Fraction Horner
+loop, and decimal renderings from Fraction products.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from binomedian.critical import Bracket, ExactRoot, FalsificationError
+from binomedian.critical import Bracket, ExactRoot, FalsificationError, isolate_root
 from binomedian.distribution import BinomialParams
 from binomedian.median import FiniteDiscreteDist, MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
+from binomedian.rational import decimal_string
 
 HALF = Fraction(1, 2)
 
@@ -183,19 +184,45 @@ def pascal_cdf_polynomial(n: int, j: int) -> IntPolynomial:
     return IntPolynomial(acc)
 
 
+def sign_at(poly: IntPolynomial, x: Fraction) -> int:
+    """Sign of P(x): -1, 0, or +1."""
+    v = poly.scaled_value(x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p + q, coefficient by coefficient."""
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return IntPolynomial(out)
+
+
+def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p * q by schoolbook convolution."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial(out)
+
+
 def product_one_minus_x_power(m: int) -> IntPolynomial:
     """(1-x)^m as m polynomial products."""
     poly = IntPolynomial((1,))
     for _ in range(m):
-        poly = poly * IntPolynomial((1, -1))
+        poly = poly_mul(poly, IntPolynomial((1, -1)))
     return poly
 
 
 def horner_compose_one_minus_x(poly: IntPolynomial) -> IntPolynomial:
     """P(1 - x) by Horner's scheme over polynomial products."""
-    result = IntPolynomial.zero()
+    result = IntPolynomial(())
     for c in reversed(poly.coeffs):
-        result = result * IntPolynomial((1, -1)) + IntPolynomial((c,))
+        result = poly_add(poly_mul(result, IntPolynomial((1, -1))), IntPolynomial((c,)))
     return result
 
 
@@ -235,6 +262,28 @@ def fraction_gap_bisect(
             lo_n = mid_n
         else:
             hi_n = mid_n
+
+
+def isolate_root_table_rows(n: int, width: Fraction, digits: int) -> list[dict]:
+    """The `table` rows of one n, from one `isolate_root` bisection per k."""
+    rows = []
+    for k in range(1, n + 1):
+        enclosure = isolate_root(n, k, width)
+        doc = enclosure.to_json_dict(digits)
+        if isinstance(enclosure, ExactRoot):
+            doc["decimal"] = decimal_string(enclosure.root, digits)
+        rows.append(
+            {
+                "n": n,
+                "k": k,
+                "kind": doc["type"],
+                "value": doc.get("root"),
+                "lo": doc.get("lo"),
+                "hi": doc.get("hi"),
+                "decimal": doc["decimal"],
+            }
+        )
+    return rows
 
 
 def fraction_pmf_sequence(params: BinomialParams) -> Iterator[Fraction]:

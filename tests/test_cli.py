@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -7,12 +8,13 @@ import sys
 
 import pytest
 
-from binomedian import cli, verify
+from binomedian import cli, critical, verify
 from binomedian.critical import critical_poly
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.rational import parse_rational
 from binomedian.verify import CheckResult, VerificationReport
 from fractions import Fraction
+from helpers import isolate_root_table_rows, sign_at
 
 
 def _exit_abruptly(task):
@@ -168,18 +170,42 @@ class TestTable:
             poly = critical_poly(row["n"], row["k"])
             if row["kind"] == "exact":
                 assert (row["lo"], row["hi"]) == (None, None)
-                assert poly.sign_at(parse_rational(row["value"])) == 0
+                assert sign_at(poly, parse_rational(row["value"])) == 0
                 continue
             assert row["value"] is None
             lo, hi = parse_rational(row["lo"]), parse_rational(row["hi"])
             assert 0 < hi - lo <= Fraction(1, 10**15)
-            assert poly.sign_at(lo) == 1 and poly.sign_at(hi) == -1
+            assert sign_at(poly, lo) == 1 and sign_at(poly, hi) == -1
             assert row["decimal"].startswith("0.")
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--n-max", "4", "--digits", "12")
         _, second, _ = run_cli(capsys, "table", "--n-max", "4", "--digits", "12")
         assert first == second
+
+    @pytest.mark.parametrize("digits", [1, 8, 30])
+    def test_rows_match_per_k_isolate_root_oracle(self, digits):
+        width = cli._width_for(digits)
+        for n in range(1, 41):
+            want = isolate_root_table_rows(n, width, digits)
+            assert cli._table_rows_for_n((n, width, digits)) == want, n
+
+    def test_makes_no_isolate_root_call(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("table called isolate_root")
+
+        monkeypatch.setattr(cli, "isolate_root", forbidden)
+        monkeypatch.setattr(critical, "isolate_root", forbidden)
+        code, _, err = run_cli(capsys, "table", "--n-max", "5")
+        assert (code, err) == (0, "")
+
+    def test_process_pool_matches_serial_bytes(self, capsys):
+        assert verify.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        argv = ("table", "--n-max", "6", "--format", "json")
+        code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
+        _, serial, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert pooled == serial
 
 
 class TestVerify:

@@ -32,6 +32,7 @@ from helpers import (
     pascal_cdf_polynomial,
     product_one_minus_x_power,
     rational_root_scan,
+    sign_at,
 )
 
 UNIT = (Fraction(0), Fraction(1))
@@ -115,7 +116,7 @@ class TestCriticalPoly:
         for n in range(1, 41):
             for k in range(1, n + 1):
                 want = 2 * (-1) ** (n - k + 1) * math.comb(n - 1, k - 1)
-                assert critical_poly(n, k).leading == want, (n, k)
+                assert critical_poly(n, k).coeffs[-1] == want, (n, k)
 
 
 class TestDerivativeIdentity:
@@ -208,7 +209,7 @@ class TestIsolateRoot:
             poly = critical_poly(n, k)
             assert 0 < enclosure.lo < enclosure.hi < 1
             assert enclosure.hi - enclosure.lo <= width
-            assert poly.sign_at(enclosure.lo) > 0 > poly.sign_at(enclosure.hi)
+            assert sign_at(poly, enclosure.lo) > 0 > sign_at(poly, enclosure.hi)
 
     @pytest.mark.parametrize(
         "width",
@@ -268,7 +269,7 @@ class TestRationalRootScan:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            rational_root_scan(IntPolynomial.zero(), UNIT)
+            rational_root_scan(IntPolynomial(()), UNIT)
 
 
 class TestMonotonicity:
@@ -336,6 +337,13 @@ class TestCertify:
     def test_range_matches_individual_certificates(self):
         for n in range(1, 21):
             assert certify_range(n) == [certify(n, k) for k in range(1, n + 1)]
+
+    @pytest.mark.parametrize("width", [Fraction(1, 10**6), Fraction(1, 10**35)], ids=["1e-6", "1e-35"])
+    def test_status_enclosures_match_isolate_root(self, width):
+        # the lower half is the partner's bracket reflected to [1 - hi, 1 - lo]
+        for n in range(1, 31):
+            for cert in certify_range(n, width):
+                assert cert.status.enclosure == isolate_root(n, cert.k, width), (n, cert.k)
 
     def test_range_bisects_each_upper_index_once(self, monkeypatch):
         calls = []

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from binomedian import critical
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
+from binomedian.polynomial import IntPolynomial
 from binomedian.verify import (
     CHECK_NAMES,
     mc_median_check,
@@ -57,6 +59,20 @@ class TestVerifyTheorem:
         report = verify_theorem(2, denom_max=10, width=Fraction(1, 10**6), seed=0)
         assert report.wall_time > 0
         assert "wall_time" not in report.to_json()
+
+    def test_isolation_failure_is_reported_not_raised(self, monkeypatch):
+        # P(1) = +2 breaks the endpoint facts isolate_root checks for (3, 3)
+        real = critical.critical_poly
+
+        def broken(n, k):
+            return IntPolynomial((1, 1)) if (n, k) == (3, 3) else real(n, k)
+
+        monkeypatch.setattr(critical, "critical_poly", broken)
+        report = verify_theorem(3, denom_max=10, width=Fraction(1, 10**6), seed=0)
+        by_name = {c.name: c for c in report.checks}
+        assert not report.passed
+        assert by_name["monotonicity"].counterexample.startswith("n=3 ")
+        assert by_name["certificates"].counterexample.startswith("n=3 ")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
