@@ -5,6 +5,8 @@ the binomial CDF satisfies B(k-1, n, p) = 1/2, i.e. where the median of
 B(n, p) degenerates to the interval [k-1, k].  Clearing denominators turns
 that condition into an integer polynomial with value +1 at p = 0 and -1 at
 p = 1, so bisection with exact sign evaluation yields certified enclosures.
+A Newton start (Kerman 2011) puts bisection straight onto its final dyadic
+cell: about 8 exact signs per root at 35 digits instead of about 117.
 Its coefficients come from the closed form (derived in `cdf_polynomial`)
 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
 coefficient is 1 by construction.
@@ -178,23 +180,56 @@ def _checked_poly(n: int, k: int) -> IntPolynomial:
     return poly
 
 
+def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
+    """Newton's guess lo for the level-t cell [lo, lo + 1] / 2^t holding the
+    root of P = `poly`, or None if it hits an exact (rational) root.
+
+    Integer Newton at scale 2^s from Kerman's start (k - 1/3)/(n + 1/3), the
+    median of Beta(k, n-k+1): with D = 2n C(n-1,k-1) m^(k-1) (2^s - m)^(n-k),
+    P'(m / 2^s) = -D / 2^(s*(n-1)), so a step is m += `scaled_value` // D.
+    Three steps at the lowest precision absorb the start's error, then the
+    precision about doubles per step up to t plus log2(n) + 16 guard bits.
+    """
+    guard = n.bit_length() + 16
+    precisions = [t + guard]
+    while precisions[-1] > 3 * guard:
+        precisions.append(precisions[-1] // 2 + guard)
+    s = precisions[-1]
+    m = ((3 * k - 1) << s) // (3 * n + 1)
+    scale = 2 * n * binomial_coeff(n - 1, k - 1)
+    for p in [s, s] + precisions[::-1]:
+        m, s = min(max(m << (p - s), 1), (1 << p) - 1), p
+        value = poly.scaled_value(m, 1 << s)
+        if value == 0:
+            return None
+        m += value // (scale * m ** (k - 1) * ((1 << s) - m) ** (n - k))
+    return min(max(m >> (s - t), 0), (1 << t) - 1)
+
+
 def _enclose(
     n: int, k: int, width: Fraction, require_upper_half: bool = False
 ) -> tuple[IntPolynomial, RootEnclosure]:
     """The checked polynomial for (n, k) and an enclosure of its root.
 
-    Bisects on [0, 1], where P(0) > 0 > P(1), with exact sign evaluation.
-    After t steps the bracket is [lo, lo + 1] / 2^t, so it is carried as
-    the single integer lo.  Stops once t reaches the steps `width` implies
-    and both endpoints are interior (and past 1/2 when `require_upper_half`).
-    A midpoint that evaluates to exactly zero is returned as ExactRoot.
-    The step cap (four times the steps `width` implies, plus 256) turns a
-    stop condition that can never hold, such as a root below 1/2 under
-    `require_upper_half`, into FalsificationError instead of an endless loop.
+    Bisects with exact signs from [0, 1], where P(0) > 0 > P(1), carrying
+    the level-t cell [lo, lo + 1] / 2^t as the single integer lo.  Stops once
+    t reaches the steps `width` implies and both ends are interior (and past
+    1/2 when `require_upper_half`); a midpoint where P is exactly zero is
+    returned as ExactRoot.  The cap of 4 * steps + 256 turns a stop condition
+    that never holds, such as a root below 1/2 under `require_upper_half`,
+    into FalsificationError instead of an endless loop.
+
+    Bisection starts at level t = steps from `_newton_cell`'s guess once two
+    exact signs prove P(lo / 2^t) > 0 > P((lo + 1) / 2^t).  Same bytes: P is
+    strictly decreasing, so the root is inside the open cell and no multiple
+    of 2^-t is a zero; every midpoint up to level t is such a multiple and no
+    stop condition holds below level t, so bisection reaches this very cell.
     """
     poly = _checked_poly(n, k)
     steps = _steps_for(width)
-    lo, t = 0, 0
+    lo, t = _newton_cell(poly, n, k, steps), steps
+    if lo is None or not poly.scaled_value(lo, 1 << t) > 0 > poly.scaled_value(lo + 1, 1 << t):
+        lo, t = 0, 0
     while not (
         t >= steps
         and 0 < lo
@@ -269,8 +304,12 @@ def symmetry_identity_check(n: int, i: int) -> IdentityCheck:
         raise ValueError("n must be positive")
     if not 1 <= i <= n:
         raise ValueError(f"i must lie in [1, {n}], got {i}")
-    lhs = critical_poly(n, i)
-    rhs = -critical_poly(n, n - i + 1).compose_one_minus_x()
+    return _reflection_check(n, i, critical_poly(n, n - i + 1))
+
+
+def _reflection_check(n: int, i: int, partner: IntPolynomial) -> IdentityCheck:
+    """`symmetry_identity_check` against an already built P_{n,n-i+1}."""
+    lhs, rhs = critical_poly(n, i), -partner.compose_one_minus_x()
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 
@@ -409,7 +448,7 @@ def _certificates(
     The odd middle index certifies the exact root 1/2; indices above the
     middle get direct upper-half evidence; indices below inherit from
     their partner n-k+1 via the reflection identity.  Each upper-half
-    certificate is built at most once per call and shared with its partner.
+    certificate and its polynomial are built once per call and shared.
     """
     width = Fraction(width)
     if width <= 0:
@@ -417,7 +456,7 @@ def _certificates(
     if n < 1:
         raise ValueError("n must be positive")
     middle = (n + 1) // 2
-    upper: dict[int, IrrationalityCertificate] = {}
+    upper: dict[int, tuple[IntPolynomial, IrrationalityCertificate]] = {}
     out = []
     for k in ks:
         if not 1 <= k <= n:
@@ -438,10 +477,10 @@ def _certificates(
                     f"(n={n}, k={above}) above the middle index"
                 )
             status = IrrationalUpperHalf(enclosure, constant_coeff=poly.constant)
-            upper[above] = IrrationalityCertificate(n, above, status)
-        cert = upper[above]
+            upper[above] = poly, IrrationalityCertificate(n, above, status)
+        poly, cert = upper[above]
         if k != above:
-            if not symmetry_identity_check(n, k):
+            if not _reflection_check(n, k, poly):
                 raise FalsificationError(f"reflection identity failed for (n={n}, i={k})")
             cert = IrrationalityCertificate(n, k, IrrationalBySymmetry(above, cert))
         out.append(cert)

@@ -6,10 +6,11 @@ medians from exhaustive enumeration against the defining inequalities,
 reference roots from integer Newton iteration, rational roots from an
 exhaustive rational-root-theorem candidate scan, the CDF polynomials and
 P(1 - x) from explicit polynomial products, enclosures from a bisection
-that carries both ends and tests the gap as a Fraction, `table` rows from
-one `isolate_root` call per k, binomial masses, CDFs and medians from a
-chain of Fraction mass ratios, polynomial values from a Fraction Horner
-loop, and decimal renderings from Fraction products.
+that carries both ends and tests the gap as a Fraction or that starts
+from [0, 1] without a Newton guess, `table` rows from one `isolate_root`
+call per k, binomial masses, CDFs and medians from a chain of Fraction
+mass ratios, polynomial values from a Fraction Horner loop, and decimal
+renderings from Fraction products.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from binomedian.critical import Bracket, ExactRoot, FalsificationError, isolate_root
+from binomedian.critical import (
+    Bracket,
+    ExactRoot,
+    FalsificationError,
+    _checked_poly,
+    _steps_for,
+    isolate_root,
+)
 from binomedian.distribution import BinomialParams
 from binomedian.median import FiniteDiscreteDist, MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
@@ -262,6 +270,33 @@ def fraction_gap_bisect(
             lo_n = mid_n
         else:
             hi_n = mid_n
+
+
+def bisection_enclose(
+    n: int, k: int, width: Fraction, require_upper_half: bool = False
+):
+    """`critical._enclose` without its Newton start: plain bisection from
+    [0, 1], with the same stop conditions and step cap."""
+    poly = _checked_poly(n, k)
+    steps = _steps_for(width)
+    lo, t = 0, 0
+    while not (
+        t >= steps
+        and 0 < lo
+        and lo + 1 < 1 << t
+        and (not require_upper_half or 2 * lo > 1 << t)
+    ):
+        if t >= 4 * steps + 256:
+            raise FalsificationError(
+                "bisection exceeded its step cap before reaching the target bracket"
+            )
+        t += 1
+        mid = 2 * lo + 1
+        sign = poly.scaled_value(mid, 1 << t)
+        if sign == 0:
+            return poly, ExactRoot(Fraction(mid, 1 << t))
+        lo = mid if sign > 0 else 2 * lo
+    return poly, Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
 
 
 def isolate_root_table_rows(n: int, width: Fraction, digits: int) -> list[dict]:
