@@ -221,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "critical",
         help="certified enclosure of one critical probability",
-        description="Cost, measured: grows about like n^2 in n "
-        "and D^1.4 in the digit count D (100 to 3200).",
+        description="Cost, measured: grows about like n^2.5 in n (1000 to 4000, "
+        "mostly building the polynomial) and D^1.4 in the digit count D "
+        "(800 to 6400).",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "table",
         help="all critical probabilities up to n-max",
-        description="Cost, measured: grows about like n-max^3.5 to n-max^4 "
+        description="Cost, measured: grows about like n-max^3.3 "
         "(n-max 50 to 200); only the upper half of each n is bisected.",
     )
     p.add_argument("--n-max", type=int, required=True)
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="run the full theorem battery up to n-max",
-        description="Cost, measured: grows about like n-max^3.3 "
+        description="Cost, measured: grows about like n-max^3 "
         "(n-max 30 to 120).",
     )
     p.add_argument("--n-max", type=int, required=True)

@@ -4,9 +4,11 @@ For 1 <= k <= n the critical probability is the unique p in (0, 1) where
 the binomial CDF satisfies B(k-1, n, p) = 1/2, i.e. where the median of
 B(n, p) degenerates to the interval [k-1, k].  Clearing denominators turns
 that condition into an integer polynomial with value +1 at p = 0 and -1 at
-p = 1, so bisection with exact sign evaluation yields certified enclosures.
+p = 1, so bisection with rigorous signs yields certified enclosures.  Each
+sign is fixed-point Horner at about t + log2(n) bits for m / 2^t under an
+absolute error bound, exact only where that bound cannot tell (`_sign_at`).
 A Newton start (Kerman 2011) puts bisection straight onto its final dyadic
-cell: about 8 exact signs per root at 35 digits instead of about 117.
+cell: 2 signs per root at 35 digits instead of about 117.
 Its coefficients come from the closed form (derived in `cdf_polynomial`)
 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
 coefficient is 1 by construction.
@@ -97,7 +99,7 @@ class ExactRoot:
 
 @dataclass(frozen=True)
 class Bracket:
-    """lo < hi with exactly evaluated opposite polynomial signs at the ends."""
+    """lo < hi with rigorously proved opposite polynomial signs at the ends."""
 
     lo: Fraction
     hi: Fraction
@@ -180,15 +182,53 @@ def _checked_poly(n: int, k: int) -> IntPolynomial:
     return poly
 
 
+def _horner_floor(poly: IntPolynomial, m: int, t: int, q: int) -> int:
+    """V with V <= P(x) * 2^q < V + degree at x = m / 2^t, 0 <= m <= 2^t, q >= t.
+
+    Horner as a floor chain at q fractional bits: X = m << (q - t),
+    V = c_d << q, then V = ((V * X) >> q) + (c_j << q) for j = d-1 .. 0.
+    Coefficient additions are exact and each floor drops less than one unit;
+    since 0 <= x <= 1, the error carried into a step does not grow, so after
+    d steps it lies in [0, d).  The bound is absolute: neither the size of
+    the coefficients (up to about 4^n) nor their cancellation enters it.
+    """
+    x = m << (q - t)
+    value = poly.coeffs[-1] << q
+    for c in poly.coeffs[-2::-1]:
+        value = ((value * x) >> q) + (c << q)
+    return value
+
+
+def _sign_at(poly: IntPolynomial, m: int, t: int) -> int:
+    """The sign of P(m / 2^t), 0 <= m <= 2^t: root isolation's one sign kernel.
+
+    `_horner_floor` at q = t + bit_length(degree) + 16 bits proves +1 when
+    V > 0 and -1 when V + degree <= 0; otherwise it retries once at 2q,
+    then asks the exact `scaled_value`.  Only that exact pass reports 0.
+    """
+    d = poly.degree
+    q = t + d.bit_length() + 16
+    for q in (q, 2 * q):
+        value = _horner_floor(poly, m, t, q)
+        if value > 0:
+            return 1
+        if value + d <= 0:
+            return -1
+    value = poly.scaled_value(m, 1 << t)
+    return (value > 0) - (value < 0)
+
+
 def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     """Newton's guess lo for the level-t cell [lo, lo + 1] / 2^t holding the
     root of P = `poly`, or None if it hits an exact (rational) root.
 
     Integer Newton at scale 2^s from Kerman's start (k - 1/3)/(n + 1/3), the
     median of Beta(k, n-k+1): with D = 2n C(n-1,k-1) m^(k-1) (2^s - m)^(n-k),
-    P'(m / 2^s) = -D / 2^(s*(n-1)), so a step is m += `scaled_value` // D.
-    Three steps at the lowest precision absorb the start's error, then the
-    precision about doubles per step up to t plus log2(n) + 16 guard bits.
+    P'(m / 2^s) = -D / 2^(s*(n-1)), and V = `_horner_floor` at q = s + guard
+    bits, a step is m += V 2^(s*(n-1)) // (D 2^guard).  Three steps at the
+    lowest precision absorb the start's error, then the precision about
+    doubles per step up to t plus log2(n) + 16 guard bits.  Where V cannot
+    tell P's sign, `_sign_at` decides whether P is exactly zero.
     """
     guard = n.bit_length() + 16
     precisions = [t + guard]
@@ -196,13 +236,13 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
         precisions.append(precisions[-1] // 2 + guard)
     s = precisions[-1]
     m = ((3 * k - 1) << s) // (3 * n + 1)
-    scale = 2 * n * binomial_coeff(n - 1, k - 1)
+    scale = (2 * n * binomial_coeff(n - 1, k - 1)) << guard
     for p in [s, s] + precisions[::-1]:
         m, s = min(max(m << (p - s), 1), (1 << p) - 1), p
-        value = poly.scaled_value(m, 1 << s)
-        if value == 0:
+        value = _horner_floor(poly, m, s, s + guard)
+        if not (value > 0 or value + n <= 0) and _sign_at(poly, m, s) == 0:
             return None
-        m += value // (scale * m ** (k - 1) * ((1 << s) - m) ** (n - k))
+        m += (value << s * (n - 1)) // (scale * m ** (k - 1) * ((1 << s) - m) ** (n - k))
     return min(max(m >> (s - t), 0), (1 << t) - 1)
 
 
@@ -211,16 +251,16 @@ def _enclose(
 ) -> tuple[IntPolynomial, RootEnclosure]:
     """The checked polynomial for (n, k) and an enclosure of its root.
 
-    Bisects with exact signs from [0, 1], where P(0) > 0 > P(1), carrying
-    the level-t cell [lo, lo + 1] / 2^t as the single integer lo.  Stops once
-    t reaches the steps `width` implies and both ends are interior (and past
-    1/2 when `require_upper_half`); a midpoint where P is exactly zero is
-    returned as ExactRoot.  The cap of 4 * steps + 256 turns a stop condition
-    that never holds, such as a root below 1/2 under `require_upper_half`,
-    into FalsificationError instead of an endless loop.
+    Bisects with `_sign_at` signs from [0, 1], where P(0) > 0 > P(1),
+    carrying the level-t cell [lo, lo + 1] / 2^t as the single integer lo.
+    Stops once t reaches the steps `width` implies and both ends are interior
+    (and past 1/2 when `require_upper_half`); a midpoint where P is exactly
+    zero is returned as ExactRoot.  The cap of 4 * steps + 256 turns a stop
+    condition that never holds, such as a root below 1/2 under
+    `require_upper_half`, into FalsificationError instead of an endless loop.
 
     Bisection starts at level t = steps from `_newton_cell`'s guess once two
-    exact signs prove P(lo / 2^t) > 0 > P((lo + 1) / 2^t).  Same bytes: P is
+    signs prove P(lo / 2^t) > 0 > P((lo + 1) / 2^t).  Same bytes: P is
     strictly decreasing, so the root is inside the open cell and no multiple
     of 2^-t is a zero; every midpoint up to level t is such a multiple and no
     stop condition holds below level t, so bisection reaches this very cell.
@@ -228,7 +268,7 @@ def _enclose(
     poly = _checked_poly(n, k)
     steps = _steps_for(width)
     lo, t = _newton_cell(poly, n, k, steps), steps
-    if lo is None or not poly.scaled_value(lo, 1 << t) > 0 > poly.scaled_value(lo + 1, 1 << t):
+    if lo is None or not _sign_at(poly, lo, t) > 0 > _sign_at(poly, lo + 1, t):
         lo, t = 0, 0
     while not (
         t >= steps
@@ -242,7 +282,7 @@ def _enclose(
             )
         t += 1
         mid = 2 * lo + 1
-        sign = poly.scaled_value(mid, 1 << t)
+        sign = _sign_at(poly, mid, t)
         if sign == 0:
             return poly, ExactRoot(Fraction(mid, 1 << t))
         lo = mid if sign > 0 else 2 * lo
@@ -253,8 +293,8 @@ def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosu
     """Certified enclosure of the critical probability for (n, k).
 
     Returns either the exact rational root (only ever 1/2, at the odd
-    middle index) or a bracket of width at most `width` with opposite
-    exact signs at its endpoints, both strictly inside (0, 1).
+    middle index) or a bracket of width at most `width` with proved
+    opposite signs at its endpoints, both strictly inside (0, 1).
     """
     width = Fraction(width)
     if width <= 0:
@@ -388,7 +428,7 @@ class IrrationalUpperHalf:
     Records the two facts the argument needs.  The constant coefficient
     is 1, so every rational root is ±1/r for a positive integer r, and no
     such number lies in (1/2, 1).  The enclosure lies inside (1/2, 1) with
-    exactly evaluated opposite signs at its ends, so it holds a root, and
+    rigorously proved opposite signs at its ends, so it holds a root, and
     that root is irrational.
     """
 

@@ -1,9 +1,12 @@
 """Dense integer-coefficient polynomials, ascending degree order.
 
 Coefficients are plain Python ints, so nothing here ever overflows or
-rounds.  Evaluation has one kernel: the homogenized integer Horner form
-den^deg * P(num/den), which shares sign and zeroness with P at the
-rational point.  The exact value P(x) is that integer over den^deg.
+rounds.  Exact evaluation has one kernel: the homogenized integer Horner
+form den^deg * P(num/den), which shares sign and zeroness with P at the
+rational point.  The exact value P(x) is that integer over den^deg.  Root
+isolation takes its signs from a fixed-point kernel (`critical._sign_at`)
+and calls this one only as its exact fallback, the only path that can
+report a zero.
 
 With c_i the coefficients of P, P(1 - x) has x^j coefficient
 (-1)^j sum_{i>=j} C(i,j) c_i: a Taylor shift to P(1 + y) by synthetic

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from binomedian import cli, critical
 from binomedian.critical import Bracket, ExactRoot
-from binomedian.polynomial import IntPolynomial
 from helpers import HALF, bisection_enclose
 
 ORACLE_WIDTHS = [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**35)]
@@ -23,15 +22,16 @@ ORACLE_IDS = ["1/2", "1e-6", "1e-35"]
 
 @pytest.fixture
 def sign_count(monkeypatch):
-    """A one-element list counting every `scaled_value` call."""
+    """A one-element list counting every sign decision: each call to the
+    sign kernel `critical._sign_at`, whether fixed point or exact decides."""
     count = [0]
-    scaled_value = IntPolynomial.scaled_value
+    sign_at = critical._sign_at
 
-    def counting(self, num, den):
+    def counting(poly, m, t):
         count[0] += 1
-        return scaled_value(self, num, den)
+        return sign_at(poly, m, t)
 
-    monkeypatch.setattr(IntPolynomial, "scaled_value", counting)
+    monkeypatch.setattr(critical, "_sign_at", counting)
     return count
 
 
@@ -115,7 +115,7 @@ def test_no_fallback_at_larger_n(n):
 
 def test_sign_evaluations_per_root_stay_low(sign_count):
     # about 117 signs per root for plain bisection at this width; the
-    # Newton start needs 8, so a slide back to bisection fails here
+    # Newton start needs 2, so a slide back to bisection fails here
     width = Fraction(1, 10**35)
     worst = 0
     for n in range(1, 41):
