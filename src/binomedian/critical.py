@@ -16,17 +16,18 @@ coefficient is 1 by construction.
 The irrationality certificates mechanize a three-way case split:
 
 * odd n with k in the middle: the polynomial vanishes exactly at 1/2;
-* k above the middle: the constant coefficient is 1, so by the rational
-  root theorem every rational root has the form ±1/r for a positive
-  integer r; no such number lies in the open interval (1/2, 1), and the
-  enclosure puts the root there, so the root is irrational;
+* k above the middle: the exact integer 2^n P(1/2) = 2 sum_{i<k} C(n,i) - 2^n
+  is positive and P(1) = -1, so the root lies in (1/2, 1); the constant
+  coefficient is 1, so by the rational root theorem every rational root
+  has the form ±1/r for a positive integer r, and no such number lies in
+  (1/2, 1), so the root is irrational;
 * k below the middle: the polynomial is the reflection of its partner's
   at index n-k+1 (checked coefficient-by-coefficient), so the root is
   1 minus the partner's and inherits its irrationality.
 
-Every certificate status exposes the enclosure it rests on (`enclosure`),
-so `certify_range` yields all n enclosures of one n while bisecting only
-the upper half.
+Every certificate status exposes its root's enclosure (`enclosure`), the
+one `isolate_root` returns, so `certify_range` yields all n enclosures of
+one n while bisecting only the upper half.
 
 Every branch re-checks the exact facts it relies on and raises
 FalsificationError instead of ever passing silently.
@@ -80,7 +81,7 @@ class FalsificationError(RuntimeError):
 
 
 class SeparationError(RuntimeError):
-    """Enclosure refinement hit its step cap before separating two roots."""
+    """Two adjacent roots' enclosures are not disjoint and ascending."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +204,17 @@ def _sign_at(poly: IntPolynomial, m: int, t: int) -> int:
     """The sign of P(m / 2^t), 0 <= m <= 2^t: root isolation's one sign kernel.
 
     `_horner_floor` at q = t + bit_length(degree) + 16 bits proves +1 when
-    V > 0 and -1 when V + degree <= 0; otherwise it retries once at 2q,
-    then asks the exact `scaled_value`.  Only that exact pass reports 0.
+    V > 0 and -1 when V + degree <= 0; otherwise the exact `scaled_value`
+    decides, and only it reports 0.  One try suffices: the only undecided
+    signs met in practice are exact zeros (the odd middle root 1/2), which
+    no precision decides.
     """
     d = poly.degree
-    q = t + d.bit_length() + 16
-    for q in (q, 2 * q):
-        value = _horner_floor(poly, m, t, q)
-        if value > 0:
-            return 1
-        if value + d <= 0:
-            return -1
+    value = _horner_floor(poly, m, t, t + d.bit_length() + 16)
+    if value > 0:
+        return 1
+    if value + d <= 0:
+        return -1
     value = poly.scaled_value(m, 1 << t)
     return (value > 0) - (value < 0)
 
@@ -228,7 +229,7 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     bits, a step is m += V 2^(s*(n-1)) // (D 2^guard).  Three steps at the
     lowest precision absorb the start's error, then the precision about
     doubles per step up to t plus log2(n) + 16 guard bits.  Where V cannot
-    tell P's sign, `_sign_at` decides whether P is exactly zero.
+    tell P's sign, the exact `scaled_value` decides whether P is zero.
     """
     guard = n.bit_length() + 16
     precisions = [t + guard]
@@ -240,24 +241,22 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     for p in [s, s] + precisions[::-1]:
         m, s = min(max(m << (p - s), 1), (1 << p) - 1), p
         value = _horner_floor(poly, m, s, s + guard)
-        if not (value > 0 or value + n <= 0) and _sign_at(poly, m, s) == 0:
+        if not (value > 0 or value + n <= 0) and poly.scaled_value(m, 1 << s) == 0:
             return None
         m += (value << s * (n - 1)) // (scale * m ** (k - 1) * ((1 << s) - m) ** (n - k))
     return min(max(m >> (s - t), 0), (1 << t) - 1)
 
 
-def _enclose(
-    n: int, k: int, width: Fraction, require_upper_half: bool = False
-) -> tuple[IntPolynomial, RootEnclosure]:
+def _enclose(n: int, k: int, width: Fraction) -> tuple[IntPolynomial, RootEnclosure]:
     """The checked polynomial for (n, k) and an enclosure of its root.
 
     Bisects with `_sign_at` signs from [0, 1], where P(0) > 0 > P(1),
     carrying the level-t cell [lo, lo + 1] / 2^t as the single integer lo.
-    Stops once t reaches the steps `width` implies and both ends are interior
-    (and past 1/2 when `require_upper_half`); a midpoint where P is exactly
-    zero is returned as ExactRoot.  The cap of 4 * steps + 256 turns a stop
-    condition that never holds, such as a root below 1/2 under
-    `require_upper_half`, into FalsificationError instead of an endless loop.
+    Stops once t reaches the steps `width` implies and both ends are
+    interior; a midpoint where P is exactly zero is returned as ExactRoot.
+    The cap of 4 * steps + 256 turns a sign kernel that never settles (a
+    cell that keeps sliding to 0 or 1) into FalsificationError instead of
+    an endless loop.
 
     Bisection starts at level t = steps from `_newton_cell`'s guess once two
     signs prove P(lo / 2^t) > 0 > P((lo + 1) / 2^t).  Same bytes: P is
@@ -270,12 +269,7 @@ def _enclose(
     lo, t = _newton_cell(poly, n, k, steps), steps
     if lo is None or not _sign_at(poly, lo, t) > 0 > _sign_at(poly, lo + 1, t):
         lo, t = 0, 0
-    while not (
-        t >= steps
-        and 0 < lo
-        and lo + 1 < 1 << t
-        and (not require_upper_half or 2 * lo > 1 << t)
-    ):
+    while not (t >= steps and 0 < lo and lo + 1 < 1 << t):
         if t >= 4 * steps + 256:
             raise FalsificationError(
                 "bisection exceeded its step cap before reaching the target bracket"
@@ -366,10 +360,11 @@ def _as_interval(enc: RootEnclosure) -> tuple[Fraction, Fraction]:
 def monotonicity_check(n: int, width: Fraction = DEFAULT_WIDTH) -> bool:
     """Confirm the n critical probabilities are strictly increasing in k.
 
-    Computes enclosures for every k at the given width and refines until
-    consecutive enclosures are disjoint and ascending.  Refinement is
-    capped at four times the steps the requested width itself implies;
-    hitting the cap signals a uselessly coarse width, not a counterexample.
+    Encloses every root once at the given width and compares adjacent
+    enclosures; the first pair that is not disjoint and ascending raises
+    SeparationError.  At 10^-6, the widest width the CLI asks for, every
+    n <= 60 separates, and a narrower width only shrinks each enclosure
+    to a sub-cell of bisection's coarser one.
     """
     width = Fraction(width)
     if n < 1:
@@ -378,29 +373,13 @@ def monotonicity_check(n: int, width: Fraction = DEFAULT_WIDTH) -> bool:
         raise ValueError("width must be positive")
     if n == 1:
         return True
-    base_steps = _steps_for(width)
-    enclosures = [isolate_root(n, k, width) for k in range(1, n + 1)]
-    halvings = 0
-    while True:
-        bad = None
-        for k in range(n - 1):
-            hi_left = _as_interval(enclosures[k])[1]
-            lo_right = _as_interval(enclosures[k + 1])[0]
-            if hi_left >= lo_right:
-                bad = k
-                break
-        if bad is None:
-            return True
-        halvings += 1
-        if base_steps + halvings > 4 * base_steps:
+    intervals = [_as_interval(isolate_root(n, k, width)) for k in range(1, n + 1)]
+    for k in range(1, n):
+        if intervals[k - 1][1] >= intervals[k][0]:
             raise SeparationError(
-                f"could not separate roots {bad + 1} and {bad + 2} of n={n} "
-                f"within the refinement cap; width {width} is too coarse"
+                f"roots {k} and {k + 1} of n={n} are not separated at width {width}"
             )
-        finer = width / 2**halvings
-        for k in (bad, bad + 1):
-            if not isinstance(enclosures[k], ExactRoot):
-                enclosures[k] = isolate_root(n, k + 1, finer)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -423,23 +402,26 @@ class ExactRational:
 
 @dataclass(frozen=True)
 class IrrationalUpperHalf:
-    """Direct irrationality evidence for a root enclosed in (1/2, 1).
+    """Direct irrationality evidence for a root above the middle index.
 
-    Records the two facts the argument needs.  The constant coefficient
-    is 1, so every rational root is ±1/r for a positive integer r, and no
-    such number lies in (1/2, 1).  The enclosure lies inside (1/2, 1) with
-    rigorously proved opposite signs at its ends, so it holds a root, and
-    that root is irrational.
+    Records the facts the argument needs.  P(1/2) has sign `sign_at_half`
+    = +1, from the exact integer 2^n P(1/2), and P(1) = -1, so the root
+    lies in (1/2, 1).  The constant coefficient is 1, so every rational
+    root is ±1/r for a positive integer r, and no such number lies in
+    (1/2, 1): the root is irrational.  The enclosure, with rigorously
+    proved opposite signs at its ends, locates it.
     """
 
     enclosure: Bracket
     constant_coeff: int
+    sign_at_half: int
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
             "type": "irrational_upper_half",
             "enclosure": self.enclosure.to_json_dict(digits),
             "constant_coeff": str(self.constant_coeff),
+            "sign_at_half": str(self.sign_at_half),
         }
 
 
@@ -510,13 +492,19 @@ def _certificates(
             continue
         above = max(k, n - k + 1)  # k itself, or its partner above the middle
         if above not in upper:
-            poly, enclosure = _enclose(n, above, width, require_upper_half=True)
+            poly, enclosure = _enclose(n, above, width)
             if isinstance(enclosure, ExactRoot):
                 raise FalsificationError(
                     f"exact rational root {enclosure.root} found for "
                     f"(n={n}, k={above}) above the middle index"
                 )
-            status = IrrationalUpperHalf(enclosure, constant_coeff=poly.constant)
+            if poly.scaled_value(1, 2) <= 0:
+                raise FalsificationError(
+                    f"P(1/2) is not positive for (n={n}, k={above}) above the middle index"
+                )
+            status = IrrationalUpperHalf(
+                enclosure, constant_coeff=poly.constant, sign_at_half=1
+            )
             upper[above] = poly, IrrationalityCertificate(n, above, status)
         poly, cert = upper[above]
         if k != above:
@@ -540,8 +528,6 @@ def certify_range(n: int, width: Fraction = DEFAULT_WIDTH) -> list[Irrationality
 
     Each status's `enclosure` equals `isolate_root(n, k, width)`: the
     reflection of a level-t dyadic cell is the level-t cell, and the stop
-    conditions of the bisection are symmetric about 1/2.  The exception is
-    an upper-half root within `width` of 1/2, where `require_upper_half`
-    bisects further, so that bracket and its reflection are narrower.
+    conditions of the bisection are symmetric about 1/2.
     """
     return _certificates(n, range(1, n + 1), width)

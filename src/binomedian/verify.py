@@ -18,6 +18,7 @@ import bisect
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -141,6 +142,9 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
         certs = certify_range(n, width)
     except FalsificationError as exc:
         return n, f"n={n} certificate construction failed: {exc}"
+    # below[k] = sum_{i<k} C(n,i), so 2^n P_k(1/2) = 2 below[k] - 2^n; from
+    # binomial coefficients alone, sharing no code with `critical_poly`
+    below = list(itertools.accumulate((math.comb(n, i) for i in range(n)), initial=0))
     first_bad = None
     for cert in certs:
         k, status = cert.k, cert.status
@@ -150,7 +154,9 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
             ok = (
                 isinstance(status, IrrationalUpperHalf)
                 and status.constant_coeff == 1
-                and _HALF < status.enclosure.lo < status.enclosure.hi < 1
+                and status.sign_at_half == 1
+                and 2 * below[k] > 1 << n
+                and 0 < status.enclosure.lo < status.enclosure.hi < 1
             )
         else:
             ok = (
@@ -165,10 +171,10 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
 
 def _check_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
     try:
-        ordered = monotonicity_check(n, width)
+        monotonicity_check(n, width)
     except (SeparationError, FalsificationError) as exc:
         return 1, f"n={n} {exc}"
-    return 1, None if ordered else f"n={n} critical probabilities not ascending"
+    return 1, None
 
 
 def _check_symmetry(n: int) -> tuple[int, str | None]:

@@ -234,14 +234,12 @@ def horner_compose_one_minus_x(poly: IntPolynomial) -> IntPolynomial:
     return result
 
 
-def fraction_gap_bisect(
-    poly: IntPolynomial, width: Fraction, require_upper_half: bool = False
-):
+def fraction_gap_bisect(poly: IntPolynomial, width: Fraction):
     """Bisection of a polynomial with P(0) > 0 > P(1), carrying both ends
     over a power-of-two denominator and testing the gap as a Fraction.
 
     Stops on the same conditions as the library (gap <= width, both ends
-    interior, past 1/2 if asked) and raises FalsificationError after
+    interior) and raises FalsificationError after
     4 * steps(width) + 256 steps, steps(width) counted by halving.
     """
     steps_for_width = 0
@@ -250,12 +248,7 @@ def fraction_gap_bisect(
     lo_n, hi_n, t = 0, 1, 0
     while True:
         scale = 1 << t
-        if (
-            Fraction(hi_n - lo_n, scale) <= width
-            and 0 < lo_n
-            and hi_n < scale
-            and (not require_upper_half or 2 * lo_n > scale)
-        ):
+        if Fraction(hi_n - lo_n, scale) <= width and 0 < lo_n and hi_n < scale:
             return Bracket(Fraction(lo_n, scale), Fraction(hi_n, scale))
         if t >= 4 * steps_for_width + 256:
             raise FalsificationError("step cap")
@@ -272,20 +265,13 @@ def fraction_gap_bisect(
             hi_n = mid_n
 
 
-def bisection_enclose(
-    n: int, k: int, width: Fraction, require_upper_half: bool = False
-):
+def bisection_enclose(n: int, k: int, width: Fraction):
     """`critical._enclose` without its Newton start: plain bisection from
     [0, 1], with the same stop conditions and step cap."""
     poly = _checked_poly(n, k)
     steps = _steps_for(width)
     lo, t = 0, 0
-    while not (
-        t >= steps
-        and 0 < lo
-        and lo + 1 < 1 << t
-        and (not require_upper_half or 2 * lo > 1 << t)
-    ):
+    while not (t >= steps and 0 < lo and lo + 1 < 1 << t):
         if t >= 4 * steps + 256:
             raise FalsificationError(
                 "bisection exceeded its step cap before reaching the target bracket"

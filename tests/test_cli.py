@@ -123,8 +123,9 @@ class TestCertify:
         data = json.loads(out)
         status = data["status"]
         assert status["type"] == "irrational_upper_half"
-        assert set(status) == {"type", "enclosure", "constant_coeff"}
+        assert set(status) == {"type", "enclosure", "constant_coeff", "sign_at_half"}
         assert status["constant_coeff"] == "1"
+        assert status["sign_at_half"] == "1"
         lo = Fraction(status["enclosure"]["lo"])
         hi = Fraction(status["enclosure"]["hi"])
         assert Fraction(1, 2) < lo < hi < 1

@@ -9,7 +9,6 @@ from binomedian.critical import (
     Bracket,
     ExactRational,
     ExactRoot,
-    FalsificationError,
     IrrationalBySymmetry,
     IrrationalUpperHalf,
     SeparationError,
@@ -218,22 +217,9 @@ class TestIsolateRoot:
     )
     def test_integer_bisection_matches_fraction_gap_oracle(self, width):
         for n in range(1, 31):
-            middle = (n + 1) // 2
             for k in range(1, n + 1):
-                poly = critical_poly(n, k)
                 got = critical._enclose(n, k, width)[1]
-                assert got == fraction_gap_bisect(poly, width), (n, k)
-                if k > middle:
-                    got = critical._enclose(n, k, width, require_upper_half=True)[1]
-                    assert got == fraction_gap_bisect(poly, width, True), (n, k)
-
-    def test_step_cap_matches_fraction_gap_oracle(self):
-        # a root below 1/2 never satisfies require_upper_half: both give up
-        poly = critical_poly(6, 2)
-        with pytest.raises(FalsificationError):
-            fraction_gap_bisect(poly, Fraction(1, 7), True)
-        with pytest.raises(FalsificationError):
-            critical._enclose(6, 2, Fraction(1, 7), require_upper_half=True)
+                assert got == fraction_gap_bisect(critical_poly(n, k), width), (n, k)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -284,8 +270,23 @@ class TestMonotonicity:
         assert monotonicity_check(2, Fraction(1, 100)) is True
 
     def test_unit_width_hits_refinement_cap(self):
-        with pytest.raises(SeparationError):
+        # width 1 stops at the level-2 cells [1/4, 1/2] and [1/2, 3/4]
+        with pytest.raises(SeparationError, match="roots 1 and 2 of n=2 .* width 1$"):
             monotonicity_check(2, Fraction(1))
+
+    def test_cli_widest_width_separates_with_one_enclosure_per_root(self, monkeypatch):
+        calls = []
+        isolate = critical.isolate_root
+
+        def counting(n, k, width):
+            calls.append(k)
+            return isolate(n, k, width)
+
+        monkeypatch.setattr(critical, "isolate_root", counting)
+        for n in range(1, 61):
+            calls.clear()
+            assert monotonicity_check(n, Fraction(1, 10**6)) is True
+            assert calls == (list(range(1, n + 1)) if n > 1 else []), n
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
@@ -302,8 +303,11 @@ class TestCertify:
         status = cert.status
         assert isinstance(status, IrrationalUpperHalf)
         assert status.constant_coeff == 1
+        assert status.sign_at_half == 1
         assert HALF < status.enclosure.lo < status.enclosure.hi < 1
-        assert set(status.to_json_dict()) == {"type", "enclosure", "constant_coeff"}
+        assert set(status.to_json_dict()) == {
+            "type", "enclosure", "constant_coeff", "sign_at_half"
+        }
 
     def test_lower_half_wraps_partner(self):
         cert = certify(2, 1)
@@ -338,9 +342,14 @@ class TestCertify:
         for n in range(1, 21):
             assert certify_range(n) == [certify(n, k) for k in range(1, n + 1)]
 
-    @pytest.mark.parametrize("width", [Fraction(1, 10**6), Fraction(1, 10**35)], ids=["1e-6", "1e-35"])
+    @pytest.mark.parametrize(
+        "width",
+        [Fraction(1), Fraction(1, 7), Fraction(1, 10**6), Fraction(1, 10**35)],
+        ids=["1", "1/7", "1e-6", "1e-35"],
+    )
     def test_status_enclosures_match_isolate_root(self, width):
-        # the lower half is the partner's bracket reflected to [1 - hi, 1 - lo]
+        # the lower half is the partner's bracket reflected to [1 - hi, 1 - lo];
+        # at widths 1 and 1/7 some upper-half brackets start at 1/2 itself
         for n in range(1, 31):
             for cert in certify_range(n, width):
                 assert cert.status.enclosure == isolate_root(n, cert.k, width), (n, cert.k)
@@ -374,4 +383,5 @@ class TestCertify:
         inner = data["status"]["partner"]["status"]
         assert inner["type"] == "irrational_upper_half"
         assert inner["constant_coeff"] == "1"
+        assert inner["sign_at_half"] == "1"
         assert inner["enclosure"]["type"] == "bracket"

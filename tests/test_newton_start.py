@@ -40,22 +40,17 @@ def test_matches_bisection_oracle_exhaustive(width):
     for n in range(1, 41):
         for k in range(1, n + 1):
             assert critical._enclose(n, k, width) == bisection_enclose(n, k, width), (n, k)
-            if 2 * k >= n + 1:  # above the middle, or the odd middle
-                got = critical._enclose(n, k, width, require_upper_half=True)
-                assert got == bisection_enclose(n, k, width, True), (n, k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     nk=st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
     digits=st.integers(0, 60),
-    upper=st.booleans(),
 )
-def test_property_matches_bisection_oracle(nk, digits, upper):
+def test_property_matches_bisection_oracle(nk, digits):
     n, k = nk
     width = Fraction(1, 10**digits)
-    upper = upper and 2 * k > n + 1
-    assert critical._enclose(n, k, width, upper) == bisection_enclose(n, k, width, upper)
+    assert critical._enclose(n, k, width) == bisection_enclose(n, k, width)
 
 
 def test_without_newton_outputs_are_unchanged(monkeypatch, capsys):
@@ -96,9 +91,7 @@ def test_odd_middle_index_is_exact_half():
         poly = critical._checked_poly(n, middle)
         for width in ORACLE_WIDTHS + [critical.DEFAULT_WIDTH]:
             assert critical._newton_cell(poly, n, middle, critical._steps_for(width)) is None
-            for upper in (False, True):
-                got = critical._enclose(n, middle, width, upper)[1]
-                assert got == ExactRoot(HALF), (n, width, upper)
+            assert critical._enclose(n, middle, width)[1] == ExactRoot(HALF), (n, width)
 
 
 @pytest.mark.parametrize("n", [100, 200, 300])

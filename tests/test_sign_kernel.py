@@ -118,7 +118,7 @@ def test_odd_middle_half_is_zero_through_the_exact_path(exact_calls):
             assert exact_calls[0] == 1, (n, t)
 
 
-def test_forced_fallback_takes_two_fixed_tries_then_the_exact_sign(monkeypatch, exact_calls):
+def test_forced_fallback_takes_one_fixed_try_then_the_exact_sign(monkeypatch, exact_calls):
     tries = [0]
 
     def undecided(poly, m, t, q):
@@ -133,7 +133,7 @@ def test_forced_fallback_takes_two_fixed_tries_then_the_exact_sign(monkeypatch, 
                 want = exact_sign(poly, m, 4)
                 tries[0] = exact_calls[0] = 0
                 assert critical._sign_at(poly, m, 4) == want, (n, k, m)
-                assert (tries[0], exact_calls[0]) == (2, 1), (n, k, m)
+                assert (tries[0], exact_calls[0]) == (1, 1), (n, k, m)
 
 
 def test_exact_fallback_stays_rare(monkeypatch, exact_calls):

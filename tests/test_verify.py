@@ -1,10 +1,13 @@
 import bisect
+import dataclasses
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from binomedian import critical
+from binomedian import critical, verify
+from binomedian.critical import FalsificationError, SeparationError
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
@@ -13,6 +16,13 @@ from binomedian.verify import (
     mc_median_check,
     verify_theorem,
 )
+from helpers import fraction_gap_bisect
+
+
+def failures(n_max):
+    """{check name: counterexample} for the failing checks of a small battery."""
+    report = verify_theorem(n_max, denom_max=10, width=Fraction(1, 10**6), seed=0)
+    return {c.name: c.counterexample for c in report.checks if not c.passed}
 
 
 class TestVerifyTheorem:
@@ -74,6 +84,12 @@ class TestVerifyTheorem:
         assert by_name["monotonicity"].counterexample.startswith("n=3 ")
         assert by_name["certificates"].counterexample.startswith("n=3 ")
 
+    def test_certificates_pass_at_coarse_width(self):
+        # at width 1/7 some upper-half brackets start at 1/2 itself; the sign
+        # at 1/2, not the bracket, puts those roots above 1/2
+        for n in range(1, 13):
+            assert verify._check_certificates(n, Fraction(1, 7)) == (n, None), n
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_theorem(0)
@@ -85,6 +101,78 @@ class TestVerifyTheorem:
             verify_theorem(3, seed=-1)
         with pytest.raises(ValueError):
             verify_theorem(3, threads=0)
+
+
+class TestPlantedFaults:
+    """Each planted fault fails the checks it breaks, at the smallest n."""
+
+    def test_sign_kernel_that_never_settles_hits_the_step_cap(self, monkeypatch):
+        # always +1 slides the cell to 1 forever, in the oracle and the library
+        with pytest.raises(FalsificationError):
+            fraction_gap_bisect(IntPolynomial((1,)), Fraction(1, 7))
+        monkeypatch.setattr(critical, "_sign_at", lambda poly, m, t: 1)
+        with pytest.raises(FalsificationError, match="step cap"):
+            critical._enclose(6, 2, Fraction(1, 7))
+        # n = 1 has only the exact root 1/2, which bisection never reaches
+        assert failures(3) == {
+            "certificates": "n=2 certificate construction failed: "
+            "bisection exceeded its step cap before reaching the target bracket",
+            "monotonicity": "n=2 bisection exceeded its step cap before "
+            "reaching the target bracket",
+        }
+
+    def test_lower_polynomial_above_the_middle_fails_the_sign_at_half(self, monkeypatch):
+        # P_{2,1}(1/2) = -1/2: its root 1 - 1/sqrt(2) lies below 1/2
+        real = critical.critical_poly
+
+        def planted(n, k):
+            return real(2, 1) if (n, k) == (2, 2) else real(n, k)
+
+        monkeypatch.setattr(critical, "critical_poly", planted)
+        bad = failures(3)
+        assert bad["certificates"] == (
+            "n=2 certificate construction failed: "
+            "P(1/2) is not positive for (n=2, k=2) above the middle index"
+        )
+        assert bad["monotonicity"] == (
+            "n=2 roots 1 and 2 of n=2 are not separated at width 1/1000000"
+        )
+
+    def test_swapped_neighbours_fail_the_ordering(self, monkeypatch):
+        real = critical.critical_poly
+        swap = {(6, 4): (6, 5), (6, 5): (6, 4)}
+        monkeypatch.setattr(
+            critical, "critical_poly", lambda n, k: real(*swap.get((n, k), (n, k)))
+        )
+        with pytest.raises(SeparationError, match="roots 4 and 5 of n=6 "):
+            critical.monotonicity_check(6)
+        bad = failures(7)
+        assert bad["monotonicity"].startswith("n=6 roots 4 and 5 of n=6 ")
+        assert bad["certificates"].startswith("n=6 ")
+
+    def test_sign_at_half_against_the_binomial_sum(self, monkeypatch):
+        # for (4, 3): 2 (C(4,0) + C(4,1) + C(4,2)) - 2^4 = 6 > 0, but the
+        # certificate claims a negative sign
+        real = critical.certify_range
+
+        def planted(n, width):
+            certs = real(n, width)
+            if n == 4:
+                status = dataclasses.replace(certs[2].status, sign_at_half=-1)
+                certs[2] = dataclasses.replace(certs[2], status=status)
+            return certs
+
+        monkeypatch.setattr(verify, "certify_range", planted)
+        assert failures(5) == {
+            "certificates": "n=4 k=3 unexpected certificate IrrationalUpperHalf"
+        }
+        # and the other way round: the checker's own binomial sum is what
+        # flags a true certificate once that sum reads 0
+        monkeypatch.setattr(verify, "certify_range", real)
+        monkeypatch.setattr(verify, "math", types.SimpleNamespace(comb=lambda n, i: 0))
+        assert failures(3) == {
+            "certificates": "n=2 k=2 unexpected certificate IrrationalUpperHalf"
+        }
 
 
 class TestMcMedianCheck:
