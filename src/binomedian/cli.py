@@ -5,13 +5,15 @@ Every subcommand writes a single JSON document (or CSV body) to stdout;
 diagnostics go to stderr only.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error or a
 dead worker process.  `table` renders the enclosures that `certify_range`
-rests on, so it bisects only the upper half of each n.
+rests on, so it bisects only the upper half of each n.  The parser is built
+once per process and reused by every `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -186,6 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binomedian",
@@ -268,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # exact results can run to many thousands of digits: print them in full
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:

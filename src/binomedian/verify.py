@@ -15,11 +15,13 @@ made against exact results.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import json
 import math
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -178,8 +180,10 @@ def _check_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
 
 
 def _check_symmetry(n: int) -> tuple[int, str | None]:
+    """The reflection identity at all n indices, checked once per pair {i, n-i+1}:
+    substituting 1-x and negating turns the identity at i into the one at n-i+1."""
     first_bad = None
-    for i in range(1, n + 1):
+    for i in range(1, (n + 1) // 2 + 1):
         if not symmetry_identity_check(n, i) and first_bad is None:
             first_bad = f"n={n} i={i} reflection identity failed"
     return n, first_bad
@@ -252,11 +256,22 @@ def _check_evaluation_consistency(
     return CONSISTENCY_DRAWS, first_bad
 
 
+def _with_digit_limit(limit: int, fn: Callable, task):
+    sys.set_int_max_str_digits(limit)
+    return fn(task)
+
+
 def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
     """[fn(task) for task in tasks], run in min(threads, len(tasks)) worker
-    processes when that exceeds 1; a worker that dies raises BrokenProcessPool."""
+    processes when that exceeds 1; a worker that dies raises BrokenProcessPool.
+
+    Workers run under the caller's int/str digit limit: a worker started by
+    `spawn` or `forkserver` would otherwise start from the interpreter default.
+    """
     workers = min(threads, len(tasks))
     if workers > 1:
+        if hasattr(sys, "get_int_max_str_digits"):
+            fn = functools.partial(_with_digit_limit, sys.get_int_max_str_digits(), fn)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]

@@ -1,7 +1,9 @@
 import concurrent.futures
 import csv
+import gc
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -25,6 +27,19 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_python(*args, **env):
+    """`python *args` in a fresh interpreter that imports binomedian from SRC."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC, **env},
+    )
 
 
 class TestMedian:
@@ -282,6 +297,42 @@ class TestUsageErrors:
         assert err == "error: invalid thread count 'zero'\n"
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_requests_leave_no_cyclic_garbage(self, capsys):
+        cli.build_parser()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                assert run_cli(capsys, "median", "--n", "7", "--p", "1/3")[0] == 0
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    def test_errors_and_help_leave_later_requests_unchanged(self, capsys, monkeypatch):
+        # the help text wraps at the terminal width, so both sides get the same one
+        monkeypatch.setenv("COLUMNS", "80")
+        requests = [
+            ["median", "--n", "9", "--p", "2/5"],
+            ["median", "--n", "three", "--p", "1/2"],
+            ["critical", "--n", "9", "--k", "5"],
+            ["critical", "--help"],
+            ["verify", "--n-max", "3", "--denom-max", "20", "--seed", "4"],
+            ["median", "--n", "9", "--p", "2/5"],
+        ]
+        for argv in requests:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            alone = run_python("-m", "binomedian", *argv, COLUMNS="80")
+            assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout), argv
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -312,6 +363,30 @@ class TestThreadCap:
         assert code == 0
         assert out == serial
         assert record == pools
+
+
+class TestStartMethods:
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int/str digit limit",
+    )
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_print_past_the_digit_limit(self, capsys, method):
+        # a spawned worker starts at the default limit of 4300 digits
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        argv = ["table", "--n-max", "2", "--digits", "4400", "--format", "json"]
+        code = (
+            "import multiprocessing, sys\n"
+            "from binomedian import cli\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({method!r}, force=True)\n"
+            f"    sys.exit(cli.main({argv + ['--threads', '2']!r}))\n"
+        )
+        _, serial, _ = run_cli(capsys, *argv, "--threads", "1")
+        assert len(serial) == 44278
+        pooled = run_python("-c", code)
+        assert (pooled.returncode, pooled.stdout) == (0, serial)
 
 
 class TestWorkerCrash:

@@ -16,13 +16,24 @@ from binomedian.verify import (
     mc_median_check,
     verify_theorem,
 )
-from helpers import fraction_gap_bisect
+from helpers import fraction_gap_bisect, poly_add
 
 
 def failures(n_max):
     """{check name: counterexample} for the failing checks of a small battery."""
     report = verify_theorem(n_max, denom_max=10, width=Fraction(1, 10**6), seed=0)
     return {c.name: c.counterexample for c in report.checks if not c.passed}
+
+
+def perturb(monkeypatch, n, k):
+    """Replace P_{n,k} by P_{n,k} + x - x^2, which keeps P(0) = 1 and P(1) = -1."""
+    real = critical.critical_poly
+
+    def planted(m, j):
+        poly = real(m, j)
+        return poly_add(poly, IntPolynomial((0, 1, -1))) if (m, j) == (n, k) else poly
+
+    monkeypatch.setattr(critical, "critical_poly", planted)
 
 
 class TestVerifyTheorem:
@@ -173,6 +184,39 @@ class TestPlantedFaults:
         assert failures(3) == {
             "certificates": "n=2 k=2 unexpected certificate IrrationalUpperHalf"
         }
+
+    def test_upper_member_of_a_pair_fails_at_the_lower_index(self, monkeypatch):
+        # the symmetry check compares the pair {2, 4} of n = 5 once, at i = 2
+        perturb(monkeypatch, 5, 4)
+        assert failures(6) == {
+            "certificates": "n=5 certificate construction failed: "
+            "reflection identity failed for (n=5, i=2)",
+            "symmetry_identity": "n=5 i=2 reflection identity failed",
+        }
+
+    def test_middle_root_moved_off_one_half(self, monkeypatch):
+        perturb(monkeypatch, 3, 2)
+        assert failures(5) == {
+            "certificates": "n=3 certificate construction failed: "
+            "polynomial for odd n=3, middle k=2 does not vanish at 1/2",
+            "symmetry_identity": "n=3 i=2 reflection identity failed",
+        }
+
+
+class TestSymmetryWork:
+    def test_one_identity_check_per_reflection_pair(self, monkeypatch):
+        calls = []
+        real = verify.symmetry_identity_check
+
+        def counted(n, i):
+            calls.append((n, i))
+            return real(n, i)
+
+        monkeypatch.setattr(verify, "symmetry_identity_check", counted)
+        for n in range(1, 13):
+            calls.clear()
+            assert verify._check_symmetry(n) == (n, None)
+            assert len(calls) == (n + 1) // 2, n
 
 
 class TestMcMedianCheck:
