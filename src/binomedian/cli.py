@@ -5,15 +5,13 @@ Every subcommand writes a single JSON document (or CSV body) to stdout;
 diagnostics go to stderr only.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error or a
 dead worker process.  `table` renders the enclosures that `certify_range`
-rests on, so it bisects only the upper half of each n.  The parser is built
-once per process and reused by every `main` call.
+rests on, so it bisects only the upper half of each n.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -188,7 +186,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binomedian",
@@ -271,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # exact results can run to many thousands of digits: print them in full
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:

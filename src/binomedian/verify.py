@@ -15,7 +15,6 @@ made against exact results.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import itertools
 import json
@@ -256,11 +255,6 @@ def _check_evaluation_consistency(
     return CONSISTENCY_DRAWS, first_bad
 
 
-def _with_digit_limit(limit: int, fn: Callable, task):
-    sys.set_int_max_str_digits(limit)
-    return fn(task)
-
-
 def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
     """[fn(task) for task in tasks], run in min(threads, len(tasks)) worker
     processes when that exceeds 1; a worker that dies raises BrokenProcessPool.
@@ -270,9 +264,13 @@ def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
     """
     workers = min(threads, len(tasks))
     if workers > 1:
-        if hasattr(sys, "get_int_max_str_digits"):
-            fn = functools.partial(_with_digit_limit, sys.get_int_max_str_digits(), fn)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        digits = (
+            {}
+            if limit is None
+            else {"initializer": sys.set_int_max_str_digits, "initargs": (limit,)}
+        )
+        with ProcessPoolExecutor(max_workers=workers, **digits) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
 

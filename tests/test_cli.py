@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import gc
 import io
 import json
 import multiprocessing
@@ -297,22 +296,7 @@ class TestUsageErrors:
         assert err == "error: invalid thread count 'zero'\n"
 
 
-class TestParserReuse:
-    def test_one_parser_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_requests_leave_no_cyclic_garbage(self, capsys):
-        cli.build_parser()
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(20):
-                assert run_cli(capsys, "median", "--n", "7", "--p", "1/3")[0] == 0
-            found = gc.collect()
-        finally:
-            gc.enable()
-        assert found == 0
-
+class TestInProcessSequence:
     def test_errors_and_help_leave_later_requests_unchanged(self, capsys, monkeypatch):
         # the help text wraps at the terminal width, so both sides get the same one
         monkeypatch.setenv("COLUMNS", "80")
@@ -356,7 +340,7 @@ class TestThreadCap:
     def test_workers_capped_at_task_count(self, capsys, monkeypatch, command, n_max, pools):
         record = []
         monkeypatch.setattr(
-            verify, "ProcessPoolExecutor", lambda max_workers: _SerialPool(max_workers, record)
+            verify, "ProcessPoolExecutor", lambda max_workers, **_: _SerialPool(max_workers, record)
         )
         code, out, _ = run_cli(capsys, command, "--n-max", n_max, "--threads", "500")
         _, serial, _ = run_cli(capsys, command, "--n-max", n_max)
