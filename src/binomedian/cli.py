@@ -4,8 +4,8 @@ irrationality certificates, and the verification battery.
 Every subcommand writes a single JSON document (or CSV body) to stdout;
 diagnostics go to stderr only.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error or a
-dead worker process.  `table` renders the enclosures that `certify_range`
-rests on, so it bisects only the upper half of each n.
+dead worker process.  `table` prints each certificate's enclosure, bisected
+when printed; a lower row reflects its partner's, so only the upper half is.
 """
 
 from __future__ import annotations
@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "critical",
         help="certified enclosure of one critical probability",
-        description="Cost, measured: grows about like n^2.5 in n (1000 to 4000, "
-        "mostly building the polynomial) and D^1.4 in the digit count D "
+        description="Cost, measured: grows about like n^1.7 in n (1000 to 8000, "
+        "mostly the Newton start's derivative) and D^1.4 in the digit count D "
         "(800 to 6400).",
     )
     p.add_argument("--n", type=int, required=True)

@@ -25,9 +25,9 @@ The irrationality certificates mechanize a three-way case split:
   at index n-k+1 (checked coefficient-by-coefficient), so the root is
   1 minus the partner's and inherits its irrationality.
 
-Every certificate status exposes its root's enclosure (`enclosure`), the
-one `isolate_root` returns, so `certify_range` yields all n enclosures of
-one n while bisecting only the upper half.
+Certificates rest on exact facts alone and never bisect.  A status's
+`enclosure`, the one `isolate_root` returns, is bisected on first read, and
+a lower index reflects its partner's: n enclosures bisect only the upper half.
 
 Every branch re-checks the exact facts it relies on and raises
 FalsificationError instead of ever passing silently.
@@ -35,8 +35,9 @@ FalsificationError instead of ever passing silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 from .polynomial import IntPolynomial
@@ -129,17 +130,18 @@ def cdf_polynomial(n: int, j: int) -> IntPolynomial:
     Since C(n,i) C(n-i,s-i) = C(n,s) C(s,i), it equals
     (-1)^s C(n,s) sum_{i<=min(j,s)} (-1)^i C(s,i).  For s <= j that sum is
     (1-1)^s, so the constant is 1 and x^1 .. x^j vanish; for s > j the
-    partial alternating sum is (-1)^j C(s-1,j).
+    partial alternating sum is (-1)^j C(s-1,j).  Term s+1 is exactly term s
+    times -(n-s) s / ((s+1)(s-j)): C(n,s)(n-s) = C(n,s+1)(s+1), C(s-1,j) s = C(s,j)(s-j).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= j <= n:
         raise ValueError("j must lie in [0, n]")
-    tail = [
-        (-1) ** (s - j) * binomial_coeff(n, s) * binomial_coeff(s - 1, j)
-        for s in range(j + 1, n + 1)
-    ]
-    return IntPolynomial([1] + [0] * j + tail)
+    coeffs, term = [1] + [0] * j, -binomial_coeff(n, j + 1)
+    for s in range(j + 1, n + 1):
+        coeffs.append(term)
+        term = -term * (n - s) * s // ((s + 1) * (s - j))
+    return IntPolynomial(coeffs)
 
 
 def critical_poly(n: int, k: int) -> IntPolynomial:
@@ -248,7 +250,13 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
 
 
 def _enclose(n: int, k: int, width: Fraction) -> tuple[IntPolynomial, RootEnclosure]:
-    """The checked polynomial for (n, k) and an enclosure of its root.
+    """The checked polynomial for (n, k) and `_bisect`'s enclosure of its root."""
+    poly = _checked_poly(n, k)
+    return poly, _bisect(poly, n, k, width)
+
+
+def _bisect(poly: IntPolynomial, n: int, k: int, width: Fraction) -> RootEnclosure:
+    """An enclosure of the root of P = `poly`, the checked polynomial for (n, k).
 
     Bisects with `_sign_at` signs from [0, 1], where P(0) > 0 > P(1),
     carrying the level-t cell [lo, lo + 1] / 2^t as the single integer lo.
@@ -264,7 +272,6 @@ def _enclose(n: int, k: int, width: Fraction) -> tuple[IntPolynomial, RootEnclos
     of 2^-t is a zero; every midpoint up to level t is such a multiple and no
     stop condition holds below level t, so bisection reaches this very cell.
     """
-    poly = _checked_poly(n, k)
     steps = _steps_for(width)
     lo, t = _newton_cell(poly, n, k, steps), steps
     if lo is None or not _sign_at(poly, lo, t) > 0 > _sign_at(poly, lo + 1, t):
@@ -278,9 +285,9 @@ def _enclose(n: int, k: int, width: Fraction) -> tuple[IntPolynomial, RootEnclos
         mid = 2 * lo + 1
         sign = _sign_at(poly, mid, t)
         if sign == 0:
-            return poly, ExactRoot(Fraction(mid, 1 << t))
+            return ExactRoot(Fraction(mid, 1 << t))
         lo = mid if sign > 0 else 2 * lo
-    return poly, Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
+    return Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
 
 
 def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
@@ -402,19 +409,32 @@ class ExactRational:
 
 @dataclass(frozen=True)
 class IrrationalUpperHalf:
-    """Direct irrationality evidence for a root above the middle index.
+    """Direct irrationality evidence for the root of `poly` = P_{n,k}, k above the middle.
 
-    Records the facts the argument needs.  P(1/2) has sign `sign_at_half`
-    = +1, from the exact integer 2^n P(1/2), and P(1) = -1, so the root
-    lies in (1/2, 1).  The constant coefficient is 1, so every rational
-    root is ±1/r for a positive integer r, and no such number lies in
-    (1/2, 1): the root is irrational.  The enclosure, with rigorously
-    proved opposite signs at its ends, locates it.
+    Records the exact facts the argument needs, checked on `poly`: P(1/2) has
+    sign `sign_at_half` = +1, from the exact integer 2^n P(1/2), and P(1) = -1,
+    so the root lies in (1/2, 1).  The constant coefficient is 1, so every
+    rational root is ±1/r for a positive integer r, and none lies in (1/2, 1):
+    the root is irrational.  No enclosure enters the proof; `enclosure`
+    bisects `poly` to `width` on first read only.
     """
 
-    enclosure: Bracket
+    n: int
+    k: int
+    poly: IntPolynomial = field(repr=False)
+    width: Fraction
     constant_coeff: int
     sign_at_half: int
+
+    @cached_property
+    def enclosure(self) -> Bracket:
+        enclosure = _bisect(self.poly, self.n, self.k, self.width)
+        if isinstance(enclosure, ExactRoot):
+            raise FalsificationError(
+                f"exact rational root {enclosure.root} found for "
+                f"(n={self.n}, k={self.k}) above the middle index"
+            )
+        return enclosure
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
@@ -478,7 +498,7 @@ def _certificates(
     if n < 1:
         raise ValueError("n must be positive")
     middle = (n + 1) // 2
-    upper: dict[int, tuple[IntPolynomial, IrrationalityCertificate]] = {}
+    upper: dict[int, IrrationalityCertificate] = {}
     out = []
     for k in ks:
         if not 1 <= k <= n:
@@ -492,23 +512,16 @@ def _certificates(
             continue
         above = max(k, n - k + 1)  # k itself, or its partner above the middle
         if above not in upper:
-            poly, enclosure = _enclose(n, above, width)
-            if isinstance(enclosure, ExactRoot):
-                raise FalsificationError(
-                    f"exact rational root {enclosure.root} found for "
-                    f"(n={n}, k={above}) above the middle index"
-                )
+            poly = _checked_poly(n, above)
             if poly.scaled_value(1, 2) <= 0:
                 raise FalsificationError(
                     f"P(1/2) is not positive for (n={n}, k={above}) above the middle index"
                 )
-            status = IrrationalUpperHalf(
-                enclosure, constant_coeff=poly.constant, sign_at_half=1
-            )
-            upper[above] = poly, IrrationalityCertificate(n, above, status)
-        poly, cert = upper[above]
+            status = IrrationalUpperHalf(n, above, poly, width, poly.constant, sign_at_half=1)
+            upper[above] = IrrationalityCertificate(n, above, status)
+        cert = upper[above]
         if k != above:
-            if not _reflection_check(n, k, poly):
+            if not _reflection_check(n, k, cert.status.poly):
                 raise FalsificationError(f"reflection identity failed for (n={n}, i={k})")
             cert = IrrationalityCertificate(n, k, IrrationalBySymmetry(above, cert))
         out.append(cert)
@@ -523,8 +536,8 @@ def certify(
 
 
 def certify_range(n: int, width: Fraction = DEFAULT_WIDTH) -> list[IrrationalityCertificate]:
-    """Certificates for every k in [1, n], computing each upper-half
-    enclosure once and sharing it with its symmetric partner.
+    """Certificates for every k in [1, n], each upper-half one shared with
+    its partner, so reading every `enclosure` bisects each upper root once.
 
     Each status's `enclosure` equals `isolate_root(n, k, width)`: the
     reflection of a level-t dyadic cell is the level-t cell, and the stop

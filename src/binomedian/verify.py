@@ -157,7 +157,6 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
                 and status.constant_coeff == 1
                 and status.sign_at_half == 1
                 and 2 * below[k] > 1 << n
-                and 0 < status.enclosure.lo < status.enclosure.hi < 1
             )
         else:
             ok = (

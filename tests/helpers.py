@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths they are used to
 check: binomial coefficients come from a Pascal-triangle recurrence,
 medians from exhaustive enumeration against the defining inequalities,
 reference roots from integer Newton iteration, rational roots from an
-exhaustive rational-root-theorem candidate scan, the CDF polynomials and
-P(1 - x) from explicit polynomial products, enclosures from a bisection
+exhaustive rational-root-theorem candidate scan, the CDF polynomials from
+two binomial coefficients per term or, like P(1 - x), from explicit
+polynomial products, enclosures from a bisection
 that carries both ends and tests the gap as a Fraction or that starts
 from [0, 1] without a Newton guess, `table` rows from one `isolate_root`
 call per k, binomial masses, CDFs and medians from a chain of Fraction
@@ -171,6 +172,16 @@ def rational_root_scan(
         for c in candidate_roots(poly)
         if lo < c < hi and poly.scaled_value(c.numerator, c.denominator) == 0
     ]
+
+
+def comb_cdf_polynomial(n: int, j: int) -> IntPolynomial:
+    """`cdf_polynomial`'s closed form 1 + sum_{s>j} (-1)^(s-j) C(n,s) C(s-1,j) x^s,
+    with two binomial coefficients per term."""
+    tail = [
+        (-1) ** (s - j) * math.comb(n, s) * math.comb(s - 1, j)
+        for s in range(j + 1, n + 1)
+    ]
+    return IntPolynomial([1] + [0] * j + tail)
 
 
 def pascal_cdf_polynomial(n: int, j: int) -> IntPolynomial:

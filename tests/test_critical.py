@@ -9,6 +9,7 @@ from binomedian.critical import (
     Bracket,
     ExactRational,
     ExactRoot,
+    FalsificationError,
     IrrationalBySymmetry,
     IrrationalUpperHalf,
     SeparationError,
@@ -25,6 +26,7 @@ from binomedian.distribution import BinomialParams, cdf
 from binomedian.polynomial import IntPolynomial
 from helpers import (
     HALF,
+    comb_cdf_polynomial,
     fraction_gap_bisect,
     icbrt_fraction,
     isqrt_fraction,
@@ -106,6 +108,11 @@ class TestCriticalPoly:
         for n in range(0, 61):
             for j in range(n + 1):
                 assert cdf_polynomial(n, j) == pascal_cdf_polynomial(n, j), (n, j)
+
+    @pytest.mark.parametrize("n", [100, 300, 1000])
+    def test_term_ratio_matches_binomial_products(self, n):
+        for j in sorted({0, 1, n // 3, n // 2, n - 2, n - 1, n}):
+            assert cdf_polynomial(n, j) == comb_cdf_polynomial(n, j), (n, j)
 
     def test_one_minus_x_power_matches_products(self):
         for m in range(0, 81):
@@ -355,18 +362,32 @@ class TestCertify:
                 assert cert.status.enclosure == isolate_root(n, cert.k, width), (n, cert.k)
 
     def test_range_bisects_each_upper_index_once(self, monkeypatch):
+        # certificates bisect nothing; reading every enclosure bisects each
+        # upper index once, the lower half reflecting its partner's bracket
         calls = []
-        enclose = critical._enclose
+        bisect = critical._bisect
 
-        def counting(n, k, *args, **kwargs):
+        def counting(poly, n, k, *args, **kwargs):
             calls.append(k)
-            return enclose(n, k, *args, **kwargs)
+            return bisect(poly, n, k, *args, **kwargs)
 
-        monkeypatch.setattr(critical, "_enclose", counting)
+        monkeypatch.setattr(critical, "_bisect", counting)
         for n in (1, 2, 7, 10):
             calls.clear()
-            certify_range(n)
-            assert sorted(calls) == list(range((n + 1) // 2 + 1, n + 1))
+            certs = certify_range(n)
+            assert calls == [], n
+            for cert in certs:
+                cert.status.enclosure
+            assert sorted(calls) == list(range((n + 1) // 2 + 1, n + 1)), n
+
+    def test_exact_root_above_the_middle_raises_on_first_read(self, monkeypatch):
+        # a sign kernel that reports 0 everywhere stops bisection at 1/2
+        monkeypatch.setattr(critical, "_sign_at", lambda poly, m, t: 0)
+        with pytest.raises(
+            FalsificationError,
+            match=r"exact rational root 1/2 found for \(n=2, k=2\) above the middle index",
+        ):
+            certify(2, 2).to_json_dict()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

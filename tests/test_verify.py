@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomedian import critical, verify
+from binomedian import cli, critical, verify
 from binomedian.critical import FalsificationError, SeparationError
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
@@ -101,6 +101,13 @@ class TestVerifyTheorem:
         for n in range(1, 13):
             assert verify._check_certificates(n, Fraction(1, 7)) == (n, None), n
 
+    def test_certificates_check_reads_no_enclosure(self, monkeypatch):
+        # the check rests on exact facts: a sign kernel that never settles
+        # would hit the step cap on the first bisection
+        monkeypatch.setattr(critical, "_sign_at", lambda poly, m, t: 1)
+        for n in range(1, 13):
+            assert verify._check_certificates(n, Fraction(1, 10**35)) == (n, None), n
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_theorem(0)
@@ -124,13 +131,17 @@ class TestPlantedFaults:
         monkeypatch.setattr(critical, "_sign_at", lambda poly, m, t: 1)
         with pytest.raises(FalsificationError, match="step cap"):
             critical._enclose(6, 2, Fraction(1, 7))
-        # n = 1 has only the exact root 1/2, which bisection never reaches
+        # n = 1 has only the exact root 1/2, which bisection never reaches;
+        # certificates bisect nothing, so only the monotonicity check fails
         assert failures(3) == {
-            "certificates": "n=2 certificate construction failed: "
-            "bisection exceeded its step cap before reaching the target bracket",
             "monotonicity": "n=2 bisection exceeded its step cap before "
             "reaching the target bracket",
         }
+        # every path that prints an enclosure still bisects, and still fails
+        with pytest.raises(FalsificationError, match="step cap"):
+            critical.certify(2, 2).to_json_dict()
+        with pytest.raises(FalsificationError, match="step cap"):
+            cli._table_rows_for_n((2, Fraction(1, 10**6), 6))
 
     def test_lower_polynomial_above_the_middle_fails_the_sign_at_half(self, monkeypatch):
         # P_{2,1}(1/2) = -1/2: its root 1 - 1/sqrt(2) lies below 1/2
