@@ -1,7 +1,7 @@
 """Exact medians of binomial distributions at rational p.
 
-Everything outside the Monte Carlo sampler runs in exact rational and
-integer arithmetic: pmf/CDF evaluation, median classification, certified
+Everything runs in exact rational and integer arithmetic, with no floating
+point anywhere: pmf/CDF evaluation, median classification, certified
 enclosures of the critical probabilities where the median degenerates to
 an interval, and per-instance certificates that each such probability is
 irrational (or exactly 1/2 at the odd middle index).
@@ -52,12 +52,6 @@ from .rational import (
     parse_rational,
     shared_prefix_decimal,
 )
-from .verify import (
-    CheckResult,
-    McMedianCheck,
-    VerificationReport,
-    mc_median_check,
-    verify_theorem,
-)
+from .verify import CheckResult, VerificationReport, verify_theorem
 
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ A Newton start (Kerman 2011) puts bisection straight onto its final dyadic
 cell: 2 signs per root at 35 digits instead of about 117.
 Its coefficients come from the closed form (derived in `cdf_polynomial`)
 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
-coefficient is 1 by construction.
+coefficient is 1 by construction.  The reflection and derivative identities
+are checked on coefficient lists built for them (`_reflect` computes
+-P(1 - x) by a Taylor shift), with no polynomial arithmetic.
 
 The irrationality certificates mechanize a three-way case split:
 
@@ -21,9 +23,9 @@ The irrationality certificates mechanize a three-way case split:
   coefficient is 1, so by the rational root theorem every rational root
   has the form ±1/r for a positive integer r, and no such number lies in
   (1/2, 1), so the root is irrational;
-* k below the middle: the polynomial is the reflection of its partner's
-  at index n-k+1 (checked coefficient-by-coefficient), so the root is
-  1 minus the partner's and inherits its irrationality.
+* k below the middle: the polynomial is the reflection -P(1 - x) of its
+  partner's P at index n-k+1 (checked coefficient-by-coefficient), so the
+  root is 1 minus the partner's and inherits its irrationality.
 
 Certificates rest on exact facts alone and never bisect.  A status's
 `enclosure`, the one `isolate_root` returns, is bisected on first read, and
@@ -122,6 +124,15 @@ RootEnclosure = Union[ExactRoot, Bracket]
 # polynomial construction
 
 
+def _cdf_coeffs(n: int, j: int) -> list[int]:
+    """Coefficients of `cdf_polynomial(n, j)`, for 0 <= j <= n."""
+    coeffs, term = [1] + [0] * j, -binomial_coeff(n, j + 1)
+    for s in range(j + 1, n + 1):
+        coeffs.append(term)
+        term = -term * (n - s) * s // ((s + 1) * (s - j))
+    return coeffs
+
+
 def cdf_polynomial(n: int, j: int) -> IntPolynomial:
     """Full expansion of sum_{i=0}^{j} C(n,i) x^i (1-x)^(n-i), from the
     closed form 1 + sum_{s=j+1}^{n} (-1)^(s-j) C(n,s) C(s-1,j) x^s.
@@ -137,11 +148,7 @@ def cdf_polynomial(n: int, j: int) -> IntPolynomial:
         raise ValueError("n must be nonnegative")
     if not 0 <= j <= n:
         raise ValueError("j must lie in [0, n]")
-    coeffs, term = [1] + [0] * j, -binomial_coeff(n, j + 1)
-    for s in range(j + 1, n + 1):
-        coeffs.append(term)
-        term = -term * (n - s) * s // ((s + 1) * (s - j))
-    return IntPolynomial(coeffs)
+    return IntPolynomial(_cdf_coeffs(n, j))
 
 
 def critical_poly(n: int, k: int) -> IntPolynomial:
@@ -154,14 +161,30 @@ def critical_poly(n: int, k: int) -> IntPolynomial:
         raise ValueError("n must be positive")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    coeffs = [2 * c for c in cdf_polynomial(n, k - 1).coeffs]
+    coeffs = [2 * c for c in _cdf_coeffs(n, k - 1)]
     coeffs[0] -= 1
     return IntPolynomial(coeffs)
 
 
-def _one_minus_x_power(m: int) -> IntPolynomial:
-    """(1-x)^m, whose coefficient of x^t is (-1)^t C(m,t)."""
-    return IntPolynomial([(-1) ** t * binomial_coeff(m, t) for t in range(m + 1)])
+def _one_minus_x_power(m: int) -> list[int]:
+    """Coefficients of (1-x)^m: the one of x^t is (-1)^t C(m,t)."""
+    return [(-1) ** t * binomial_coeff(m, t) for t in range(m + 1)]
+
+
+def _reflect(coeffs: Iterable[int]) -> list[int]:
+    """Coefficients of -P(1 - x), where coeffs are those of P.
+
+    With c_i the coefficients of P, -P(1 - x) has x^j coefficient
+    (-1)^(j+1) sum_{i>=j} C(i,j) c_i: a Taylor shift to P(1 + y) by
+    synthetic division (integer additions only), then y = -x and the
+    negation fold into one sign per coefficient.  Trimmed input gives
+    trimmed output: the leading coefficient only changes sign.
+    """
+    shifted = list(coeffs)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    return [c if j % 2 else -c for j, c in enumerate(shifted)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +272,6 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     return min(max(m >> (s - t), 0), (1 << t) - 1)
 
 
-def _enclose(n: int, k: int, width: Fraction) -> tuple[IntPolynomial, RootEnclosure]:
-    """The checked polynomial for (n, k) and `_bisect`'s enclosure of its root."""
-    poly = _checked_poly(n, k)
-    return poly, _bisect(poly, n, k, width)
-
-
 def _bisect(poly: IntPolynomial, n: int, k: int, width: Fraction) -> RootEnclosure:
     """An enclosure of the root of P = `poly`, the checked polynomial for (n, k).
 
@@ -300,7 +317,7 @@ def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosu
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    return _enclose(n, k, width)[1]
+    return _bisect(_checked_poly(n, k), n, k, width)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +347,11 @@ def derivative_identity_check(n: int, j: int) -> IdentityCheck:
         raise ValueError("n must be positive")
     if not 0 <= j <= n - 1:
         raise ValueError(f"j must lie in [0, {n - 1}], got {j}")
-    lhs = cdf_polynomial(n, j).derivative()
-    rhs = _one_minus_x_power(n - 1 - j).shift(j).scale(-n * binomial_coeff(n - 1, j))
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+    # both sides have n coefficients and a nonzero leading one
+    lhs = [s * c for s, c in enumerate(_cdf_coeffs(n, j))][1:]
+    scale = -n * binomial_coeff(n - 1, j)
+    rhs = [0] * j + [scale * c for c in _one_minus_x_power(n - 1 - j)]
+    return IdentityCheck(lhs == rhs, IntPolynomial(lhs), IntPolynomial(rhs))
 
 
 def symmetry_identity_check(n: int, i: int) -> IdentityCheck:
@@ -350,7 +369,7 @@ def symmetry_identity_check(n: int, i: int) -> IdentityCheck:
 
 def _reflection_check(n: int, i: int, partner: IntPolynomial) -> IdentityCheck:
     """`symmetry_identity_check` against an already built P_{n,n-i+1}."""
-    lhs, rhs = critical_poly(n, i), -partner.compose_one_minus_x()
+    lhs, rhs = critical_poly(n, i), IntPolynomial(_reflect(partner.coeffs))
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 

@@ -1,20 +1,17 @@
-"""Theorem battery over ranges of n, plus a seeded Monte Carlo cross-check.
+"""Theorem battery over ranges of n.
 
 `verify_theorem` re-derives, for every n up to a bound, everything the
 median-uniqueness result rests on: certificate shapes for all k, strict
 ordering of the critical probabilities, the reflection and derivative
 identities, a randomized median sweep over rational p, and agreement
 between the two independent ways of evaluating 2*B(k-1,n,p) - 1.
-Failures are collected into the report, never raised.
-
-The Monte Carlo check is the only place in the package where floating
-point is allowed, and only to draw samples; every verdict comparison is
-made against exact results.
+Failures are collected into the report, never raised.  Every check is
+exact: the randomized ones draw rational instances from seeded integer
+streams, and only the report's `wall_time` is a float.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import json
@@ -40,7 +37,7 @@ from .critical import (
     monotonicity_check,
     symmetry_identity_check,
 )
-from .distribution import BinomialParams, binomial_weights, cdf
+from .distribution import binomial_weights
 from .median import MedianInterval, MedianResult, UniqueMedian, median_binomial
 from .rational import format_rational
 
@@ -48,8 +45,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "verify_theorem",
-    "McMedianCheck",
-    "mc_median_check",
 ]
 
 _HALF = Fraction(1, 2)
@@ -235,8 +230,14 @@ def _check_median_sweep(
 def _check_evaluation_consistency(
     n: int, denom_max: int, seed: int
 ) -> tuple[int, str | None]:
-    # The two sides share no code: Horner on the integer coefficients of
-    # `critical_poly` against the CDF summed by the binomial weight kernel.
+    """b^n P(a/b) = 2 sum_{i<k} w_i - b^n at random k and p = a/b, in integers.
+
+    The two sides share no code: Horner on the integer coefficients of
+    `critical_poly` against the weights of `binomial_weights`.  `scaled_value`
+    carries b^degree, so both sides are lifted to b^max(n, degree) and the
+    comparison stays exact at any degree; a Fraction is built only to render
+    a counterexample.
+    """
     if denom_max < 2:
         return 0, None
     rng = _rng_for(seed, "evaluation_consistency", n)
@@ -244,12 +245,17 @@ def _check_evaluation_consistency(
     for _ in range(CONSISTENCY_DRAWS):
         k = rng.randint(1, n)
         p = _draw_p(rng, denom_max)
-        via_poly = critical_poly(n, k).evaluate(p)
-        via_cdf = 2 * cdf(k - 1, BinomialParams(n, p)) - 1
+        a, b = p.numerator, p.denominator
+        poly = critical_poly(n, k)
+        top = max(n, poly.degree)
+        via_poly = poly.scaled_value(a, b) * b ** (top - poly.degree)
+        below = sum(itertools.islice(binomial_weights(n, a, b - a), k))
+        via_cdf = (2 * below - b**n) * b ** (top - n)
         if via_poly != via_cdf and first_bad is None:
             first_bad = (
                 f"n={n} k={k} p={format_rational(p)} polynomial value "
-                f"{format_rational(via_poly)} != CDF value {format_rational(via_cdf)}"
+                f"{format_rational(Fraction(via_poly, b**top))} != CDF value "
+                f"{format_rational(Fraction(via_cdf, b**top))}"
             )
     return CONSISTENCY_DRAWS, first_bad
 
@@ -328,82 +334,4 @@ def verify_theorem(
         seed=seed,
         checks=tuple(checks),
         wall_time=time.perf_counter() - start,
-    )
-
-
-@dataclass(frozen=True)
-class McMedianCheck:
-    """Agreement verdict between an empirical and the exact median."""
-
-    n: int
-    p: Fraction
-    samples: int
-    seed: int
-    exact: MedianResult
-    empirical_median: int
-    agrees: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": format_rational(self.p),
-            "samples": self.samples,
-            "seed": self.seed,
-            "exact": self.exact.to_json_dict(),
-            "empirical_median": self.empirical_median,
-            "agrees": self.agrees,
-        }
-
-
-def mc_median_check(
-    n: int, p: Fraction | int, samples: int, seed: int
-) -> McMedianCheck:
-    """Draw binomial variates by inverting the exact CDF and compare the
-    empirical median with the exact classification.
-
-    The exact CDF, built as running sums of the integer pmf weights, is
-    converted to double precision once; uniforms come from a
-    `random.Random(seed)` stream, so runs are reproducible bit-for-bit.
-    Variates are tallied per value, and the empirical median is read off
-    the tallies with the lower-midpoint convention for even sample counts.
-    A UniqueMedian must be hit exactly; a MedianInterval accepts any
-    empirical median inside it.
-
-    False-failure odds: with margin d = min |CDF boundary - 1/2| over the
-    boundaries adjacent to the exact median, Hoeffding gives failure
-    probability at most 2*exp(-2*samples*d^2).  At samples = 10^6 any
-    margin above 0.0034 keeps that below 1e-9; the acceptance
-    configuration (n=10, p=3/10) has margin ~0.117.
-    """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    params = BinomialParams(n, p)
-    exact = median_binomial(params.n, params.p)
-    a, b = params.p.numerator, params.p.denominator
-    scale = b**params.n
-    # int / int rounds correctly, as float(Fraction) does
-    thresholds = [
-        running / scale
-        for running in itertools.accumulate(binomial_weights(params.n, a, b - a))
-    ]
-    rng = random.Random(seed)
-    counts = [0] * (params.n + 1)
-    for _ in range(samples):
-        counts[bisect.bisect_left(thresholds, rng.random())] += 1
-    # lower-midpoint order statistic: the first value whose running tally exceeds its rank
-    empirical = bisect.bisect_right(list(itertools.accumulate(counts)), (samples - 1) // 2)
-    if isinstance(exact, UniqueMedian):
-        agrees = empirical == exact.m
-    else:
-        agrees = exact.m1 <= empirical <= exact.m2
-    return McMedianCheck(
-        n=params.n,
-        p=params.p,
-        samples=samples,
-        seed=seed,
-        exact=exact,
-        empirical_median=empirical,
-        agrees=agrees,
     )

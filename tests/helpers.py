@@ -11,13 +11,17 @@ that carries both ends and tests the gap as a Fraction or that starts
 from [0, 1] without a Newton guess, `table` rows from one `isolate_root`
 call per k, binomial masses, CDFs and medians from a chain of Fraction
 mass ratios, polynomial values from a Fraction Horner loop, and decimal
-renderings from Fraction products.
+renderings from Fraction products.  `mc_median_check` is the suite's one
+floating-point oracle: an empirical median from seeded samples.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -29,10 +33,16 @@ from binomedian.critical import (
     _steps_for,
     isolate_root,
 )
-from binomedian.distribution import BinomialParams
-from binomedian.median import FiniteDiscreteDist, MedianInterval, UniqueMedian
+from binomedian.distribution import BinomialParams, binomial_weights
+from binomedian.median import (
+    FiniteDiscreteDist,
+    MedianInterval,
+    MedianResult,
+    UniqueMedian,
+    median_binomial,
+)
 from binomedian.polynomial import IntPolynomial
-from binomedian.rational import decimal_string
+from binomedian.rational import decimal_string, format_rational
 
 HALF = Fraction(1, 2)
 
@@ -277,7 +287,7 @@ def fraction_gap_bisect(poly: IntPolynomial, width: Fraction):
 
 
 def bisection_enclose(n: int, k: int, width: Fraction):
-    """`critical._enclose` without its Newton start: plain bisection from
+    """`isolate_root` without its Newton start: plain bisection from
     [0, 1], with the same stop conditions and step cap."""
     poly = _checked_poly(n, k)
     steps = _steps_for(width)
@@ -291,9 +301,9 @@ def bisection_enclose(n: int, k: int, width: Fraction):
         mid = 2 * lo + 1
         sign = poly.scaled_value(mid, 1 << t)
         if sign == 0:
-            return poly, ExactRoot(Fraction(mid, 1 << t))
+            return ExactRoot(Fraction(mid, 1 << t))
         lo = mid if sign > 0 else 2 * lo
-    return poly, Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
+    return Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
 
 
 def isolate_root_table_rows(n: int, width: Fraction, digits: int) -> list[dict]:
@@ -413,3 +423,81 @@ def fraction_shared_prefix_decimal(lo: Fraction, hi: Fraction, digits: int) -> s
         return str(tl)
     ip, fp = divmod(tl, 10**d)
     return f"{ip}.{str(fp).zfill(d)}"
+
+
+@dataclass(frozen=True)
+class McMedianCheck:
+    """Agreement verdict between an empirical and the exact median."""
+
+    n: int
+    p: Fraction
+    samples: int
+    seed: int
+    exact: MedianResult
+    empirical_median: int
+    agrees: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "p": format_rational(self.p),
+            "samples": self.samples,
+            "seed": self.seed,
+            "exact": self.exact.to_json_dict(),
+            "empirical_median": self.empirical_median,
+            "agrees": self.agrees,
+        }
+
+
+def mc_median_check(
+    n: int, p: Fraction | int, samples: int, seed: int
+) -> McMedianCheck:
+    """Draw binomial variates by inverting the exact CDF and compare the
+    empirical median with the exact classification.
+
+    The exact CDF, built as running sums of the integer pmf weights, is
+    converted to double precision once; uniforms come from a
+    `random.Random(seed)` stream, so runs are reproducible bit-for-bit.
+    Variates are tallied per value, and the empirical median is read off
+    the tallies with the lower-midpoint convention for even sample counts.
+    A UniqueMedian must be hit exactly; a MedianInterval accepts any
+    empirical median inside it.
+
+    False-failure odds: with margin d = min |CDF boundary - 1/2| over the
+    boundaries adjacent to the exact median, Hoeffding gives failure
+    probability at most 2*exp(-2*samples*d^2).  At samples = 10^6 any
+    margin above 0.0034 keeps that below 1e-9; the acceptance
+    configuration (n=10, p=3/10) has margin ~0.117.
+    """
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    params = BinomialParams(n, p)
+    exact = median_binomial(params.n, params.p)
+    a, b = params.p.numerator, params.p.denominator
+    scale = b**params.n
+    # int / int rounds correctly, as float(Fraction) does
+    thresholds = [
+        running / scale
+        for running in itertools.accumulate(binomial_weights(params.n, a, b - a))
+    ]
+    rng = random.Random(seed)
+    counts = [0] * (params.n + 1)
+    for _ in range(samples):
+        counts[bisect.bisect_left(thresholds, rng.random())] += 1
+    # lower-midpoint order statistic: the first value whose running tally exceeds its rank
+    empirical = bisect.bisect_right(list(itertools.accumulate(counts)), (samples - 1) // 2)
+    if isinstance(exact, UniqueMedian):
+        agrees = empirical == exact.m
+    else:
+        agrees = exact.m1 <= empirical <= exact.m2
+    return McMedianCheck(
+        n=params.n,
+        p=params.p,
+        samples=samples,
+        seed=seed,
+        exact=exact,
+        empirical_median=empirical,
+        agrees=agrees,
+    )

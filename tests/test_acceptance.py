@@ -35,11 +35,11 @@ from binomedian.median import (
     median_binomial,
     median_finite,
 )
-from binomedian.verify import mc_median_check
 from helpers import (
     HALF,
     icbrt_fraction,
     isqrt_fraction,
+    mc_median_check,
     median_by_enumeration,
     random_finite_dist,
     tail_at_least,

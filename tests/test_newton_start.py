@@ -1,4 +1,4 @@
-"""`critical._enclose` starts bisection from `_newton_cell`'s level-t cell.
+"""`isolate_root` starts bisection from `_newton_cell`'s level-t cell.
 
 The start must not change a single enclosure: every result is compared
 with `bisection_enclose`, plain bisection from [0, 1].
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomedian import cli, critical
-from binomedian.critical import Bracket, ExactRoot
+from binomedian.critical import Bracket, ExactRoot, isolate_root
 from helpers import HALF, bisection_enclose
 
 ORACLE_WIDTHS = [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**35)]
@@ -39,7 +39,7 @@ def sign_count(monkeypatch):
 def test_matches_bisection_oracle_exhaustive(width):
     for n in range(1, 41):
         for k in range(1, n + 1):
-            assert critical._enclose(n, k, width) == bisection_enclose(n, k, width), (n, k)
+            assert isolate_root(n, k, width) == bisection_enclose(n, k, width), (n, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,7 +50,7 @@ def test_matches_bisection_oracle_exhaustive(width):
 def test_property_matches_bisection_oracle(nk, digits):
     n, k = nk
     width = Fraction(1, 10**digits)
-    assert critical._enclose(n, k, width) == bisection_enclose(n, k, width)
+    assert isolate_root(n, k, width) == bisection_enclose(n, k, width)
 
 
 def test_without_newton_outputs_are_unchanged(monkeypatch, capsys):
@@ -77,10 +77,10 @@ def test_adjacent_cell_is_rejected_by_the_two_signs(monkeypatch, sign_count, off
     steps = critical._steps_for(width)
     for n, k in [(2, 2), (10, 3), (40, 27)]:
         want = bisection_enclose(n, k, width)
-        guess = int(want[1].lo * (1 << steps)) + offset
+        guess = int(want.lo * (1 << steps)) + offset
         monkeypatch.setattr(critical, "_newton_cell", lambda *args: guess)
         sign_count[0] = 0
-        assert critical._enclose(n, k, width) == want, (n, k)
+        assert isolate_root(n, k, width) == want, (n, k)
         # rejected after one or two signs, then the full bisection ran
         assert sign_count[0] >= steps + 1, (n, k)
 
@@ -91,7 +91,7 @@ def test_odd_middle_index_is_exact_half():
         poly = critical._checked_poly(n, middle)
         for width in ORACLE_WIDTHS + [critical.DEFAULT_WIDTH]:
             assert critical._newton_cell(poly, n, middle, critical._steps_for(width)) is None
-            assert critical._enclose(n, middle, width)[1] == ExactRoot(HALF), (n, width)
+            assert isolate_root(n, middle, width) == ExactRoot(HALF), (n, width)
 
 
 @pytest.mark.parametrize("n", [100, 200, 300])
@@ -114,7 +114,7 @@ def test_sign_evaluations_per_root_stay_low(sign_count):
     for n in range(1, 41):
         for k in range(1, n + 1):
             sign_count[0] = 0
-            enclosure = critical._enclose(n, k, width)[1]
+            enclosure = isolate_root(n, k, width)
             if isinstance(enclosure, Bracket):
                 worst = max(worst, sign_count[0])
                 assert sign_count[0] <= 16, (n, k, sign_count[0])

@@ -162,7 +162,7 @@ def test_exact_fallback_stays_rare(monkeypatch, exact_calls):
     for n in range(1, 41):
         for k in range(1, n + 1):
             exact_calls[0] = signs[0] = tries[0] = 0
-            enclosure = critical._enclose(n, k, width)[1]
+            enclosure = critical.isolate_root(n, k, width)
             if isinstance(enclosure, Bracket):
                 roots += 1
                 assert exact_calls[0] == 0, (n, k, exact_calls[0])

@@ -11,12 +11,8 @@ from binomedian.critical import FalsificationError, SeparationError
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
-from binomedian.verify import (
-    CHECK_NAMES,
-    mc_median_check,
-    verify_theorem,
-)
-from helpers import fraction_gap_bisect, poly_add
+from binomedian.verify import CHECK_NAMES, verify_theorem
+from helpers import fraction_gap_bisect, mc_median_check, poly_add
 
 
 def failures(n_max):
@@ -130,7 +126,7 @@ class TestPlantedFaults:
             fraction_gap_bisect(IntPolynomial((1,)), Fraction(1, 7))
         monkeypatch.setattr(critical, "_sign_at", lambda poly, m, t: 1)
         with pytest.raises(FalsificationError, match="step cap"):
-            critical._enclose(6, 2, Fraction(1, 7))
+            critical.isolate_root(6, 2, Fraction(1, 7))
         # n = 1 has only the exact root 1/2, which bisection never reaches;
         # certificates bisect nothing, so only the monotonicity check fails
         assert failures(3) == {
@@ -211,6 +207,44 @@ class TestPlantedFaults:
             "certificates": "n=3 certificate construction failed: "
             "polynomial for odd n=3, middle k=2 does not vanish at 1/2",
             "symmetry_identity": "n=3 i=2 reflection identity failed",
+        }
+
+    def test_one_coefficient_off_by_one(self, monkeypatch):
+        # x^1 of P_{4,2} vanishes by the closed form; +1 there moves P(1) to 0
+        real = critical.critical_poly
+
+        def planted(n, k):
+            poly = real(n, k)
+            return poly_add(poly, IntPolynomial((0, 1))) if (n, k) == (4, 2) else poly
+
+        monkeypatch.setattr(critical, "critical_poly", planted)
+        monkeypatch.setattr(verify, "critical_poly", planted)
+        assert failures(5) == {
+            "certificates": "n=4 certificate construction failed: "
+            "reflection identity failed for (n=4, i=2)",
+            "monotonicity": "n=4 polynomial for (n=4, k=2) lost its endpoint values +1/-1",
+            "symmetry_identity": "n=4 i=2 reflection identity failed",
+            "evaluation_consistency": "n=4 k=2 p=1/3 polynomial value 14/27 != CDF value 5/27",
+        }
+
+    def test_evaluation_consistency_sees_a_planted_polynomial(self, monkeypatch):
+        # `verify` imports `critical_poly` by name, so the plant goes into its
+        # namespace; the first n = 2 draw at seed 0 is k = 2, p = 2/5
+        real = critical.critical_poly
+
+        def plant(replace):
+            monkeypatch.setattr(
+                verify, "critical_poly", lambda n, k: replace(n, k) if (n, k) == (2, 2) else real(n, k)
+            )
+
+        plant(lambda n, k: poly_add(real(n, k), IntPolynomial((0, 1, -1))))
+        assert failures(3) == {
+            "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 23/25 != CDF value 17/25"
+        }
+        # a polynomial of lower degree than n: 1 - 2x at 2/5
+        plant(lambda n, k: IntPolynomial((1, -2)))
+        assert failures(3) == {
+            "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 1/5 != CDF value 17/25"
         }
 
 
