@@ -52,6 +52,6 @@ from .rational import (
     parse_rational,
     shared_prefix_decimal,
 )
-from .verify import CheckResult, VerificationReport, verify_theorem
+from .verify import CheckResult, VerificationReport, WorkerError, verify_theorem
 
 __version__ = "0.1.0"

@@ -4,25 +4,28 @@ irrationality certificates, and the verification battery.
 Every subcommand writes a single JSON document (or CSV body) to stdout;
 diagnostics go to stderr only.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error or a
-dead worker process.  `table` prints each certificate's enclosure, bisected
-when printed; a lower row reflects its partner's, so only the upper half is.
+dead worker process (`ordered_map` raises `verify.WorkerError`).  `table`
+prints each certificate's enclosure, bisected when printed; a lower
+row reflects its partner's, so only the upper half is.
+
+A launch imports only what its command runs: `--threads` > 1 loads the
+process pool inside `ordered_map`, `verify` loads `hashlib` for its seeded
+streams, and `table` loads `csv`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from .critical import ExactRoot, certify, certify_range, isolate_root
 from .distribution import BinomialParams, cdf, pmf
 from .median import median_binomial
 from .rational import decimal_string, format_rational, parse_rational
-from .verify import ordered_map, verify_theorem
+from .verify import WorkerError, ordered_map, verify_theorem
 
 DEFAULT_DIGITS = 30
 
@@ -156,6 +159,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(rows)
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_TABLE_COLUMNS)
         for row in rows:
@@ -184,6 +189,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0 if report.passed else 1
+
+
+_THREADS_HELP = (
+    'worker processes, or "auto"; at most one per task and one per CPU '
+    "available to the process"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", default="1", help='worker count or "auto"')
+    p.add_argument("--threads", default="1", help=_THREADS_HELP)
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser(
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denom-max", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
-    p.add_argument("--threads", default="1", help='worker count or "auto"')
+    p.add_argument("--threads", default="1", help=_THREADS_HELP)
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -276,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (CliError, ValueError, BrokenProcessPool) as exc:
+    except (CliError, ValueError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-from .polynomial import IntPolynomial
+from .polynomial import IntPolynomial, _from_ints
 from .rational import binomial_coeff, format_rational, shared_prefix_decimal
 
 __all__ = [
@@ -148,7 +148,7 @@ def cdf_polynomial(n: int, j: int) -> IntPolynomial:
         raise ValueError("n must be nonnegative")
     if not 0 <= j <= n:
         raise ValueError("j must lie in [0, n]")
-    return IntPolynomial(_cdf_coeffs(n, j))
+    return _from_ints(_cdf_coeffs(n, j))
 
 
 def critical_poly(n: int, k: int) -> IntPolynomial:
@@ -163,12 +163,16 @@ def critical_poly(n: int, k: int) -> IntPolynomial:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     coeffs = [2 * c for c in _cdf_coeffs(n, k - 1)]
     coeffs[0] -= 1
-    return IntPolynomial(coeffs)
+    return _from_ints(coeffs)
 
 
 def _one_minus_x_power(m: int) -> list[int]:
-    """Coefficients of (1-x)^m: the one of x^t is (-1)^t C(m,t)."""
-    return [(-1) ** t * binomial_coeff(m, t) for t in range(m + 1)]
+    """Coefficients of (1-x)^m: the one of x^t is (-1)^t C(m,t), and term
+    t+1 is exactly term t times -(m-t)/(t+1), since C(m,t)(m-t) = C(m,t+1)(t+1)."""
+    coeffs = [1]
+    for t in range(m):
+        coeffs.append(-coeffs[-1] * (m - t) // (t + 1))
+    return coeffs
 
 
 def _reflect(coeffs: Iterable[int]) -> list[int]:
@@ -351,7 +355,7 @@ def derivative_identity_check(n: int, j: int) -> IdentityCheck:
     lhs = [s * c for s, c in enumerate(_cdf_coeffs(n, j))][1:]
     scale = -n * binomial_coeff(n - 1, j)
     rhs = [0] * j + [scale * c for c in _one_minus_x_power(n - 1 - j)]
-    return IdentityCheck(lhs == rhs, IntPolynomial(lhs), IntPolynomial(rhs))
+    return IdentityCheck(lhs == rhs, _from_ints(lhs), _from_ints(rhs))
 
 
 def symmetry_identity_check(n: int, i: int) -> IdentityCheck:
@@ -369,7 +373,7 @@ def symmetry_identity_check(n: int, i: int) -> IdentityCheck:
 
 def _reflection_check(n: int, i: int, partner: IntPolynomial) -> IdentityCheck:
     """`symmetry_identity_check` against an already built P_{n,n-i+1}."""
-    lhs, rhs = critical_poly(n, i), IntPolynomial(_reflect(partner.coeffs))
+    lhs, rhs = critical_poly(n, i), _from_ints(_reflect(partner.coeffs))
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 

@@ -67,3 +67,12 @@ class IntPolynomial:
             den_power *= den
             value = value * num + c * den_power
         return value
+
+
+def _from_ints(coeffs: Sequence[int]) -> IntPolynomial:
+    """IntPolynomial(coeffs) without the per-coefficient type check, for the
+    library's own constructions, whose coefficients come from int arithmetic
+    alone.  The public constructor keeps the check for what callers hand in."""
+    poly = object.__new__(IntPolynomial)
+    object.__setattr__(poly, "coeffs", _trim(coeffs))
+    return poly

@@ -12,14 +12,13 @@ streams, and only the report's `wall_time` is a float.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -44,6 +43,7 @@ from .rational import format_rational
 __all__ = [
     "CheckResult",
     "VerificationReport",
+    "WorkerError",
     "verify_theorem",
 ]
 
@@ -117,6 +117,8 @@ class VerificationReport:
 def _rng_for(seed: int, check: str, n: int) -> random.Random:
     """Independent deterministic stream per (check, n), split from the
     master seed so execution order and parallelism cannot perturb draws."""
+    import hashlib  # loads OpenSSL: only the randomized checks pay for it
+
     digest = hashlib.sha256(f"{seed}:{check}:{n}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -260,23 +262,42 @@ def _check_evaluation_consistency(
     return CONSISTENCY_DRAWS, first_bad
 
 
-def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
-    """[fn(task) for task in tasks], run in min(threads, len(tasks)) worker
-    processes when that exceeds 1; a worker that dies raises BrokenProcessPool.
+class WorkerError(RuntimeError):
+    """A worker process of `ordered_map` died before returning its results."""
 
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
+    """[fn(task) for task in tasks], run in min(threads, len(tasks),
+    _available_cpus()) worker processes when that exceeds 1.
+
+    A worker that dies raises WorkerError, chained from the pool's
+    BrokenProcessPool.  The process pool is imported only here, so a caller
+    that never runs more than one worker never loads `multiprocessing`.
     Workers run under the caller's int/str digit limit: a worker started by
     `spawn` or `forkserver` would otherwise start from the interpreter default.
     """
-    workers = min(threads, len(tasks))
+    workers = min(threads, len(tasks), _available_cpus())
     if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         digits = (
             {}
             if limit is None
             else {"initializer": sys.set_int_max_str_digits, "initargs": (limit,)}
         )
-        with ProcessPoolExecutor(max_workers=workers, **digits) as pool:
-            return list(pool.map(fn, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, **digits) as pool:
+                return list(pool.map(fn, tasks))
+        except BrokenProcessPool as exc:
+            raise WorkerError(str(exc)) from exc
     return [fn(task) for task in tasks]
 
 
@@ -305,6 +326,7 @@ def verify_theorem(
     randomized parts draw from per-(check, n) streams split off the master
     seed, and results are merged in ascending n regardless of `threads`,
     so the first counterexample reported is always the smallest-n one.
+    A worker process that dies under `threads` > 1 raises WorkerError.
     """
     width = Fraction(width)
     if n_max < 1:

@@ -1,4 +1,4 @@
-import concurrent.futures
+import concurrent.futures.process
 import csv
 import io
 import json
@@ -20,6 +20,12 @@ from helpers import isolate_root_table_rows, sign_at
 
 def _exit_abruptly(task):
     os._exit(1)
+
+
+# --threads runs at most one worker per available CPU, so with one CPU no pool starts
+needs_pool = pytest.mark.skipif(
+    verify._available_cpus() < 2, reason="a process pool needs 2 available CPUs"
+)
 
 
 def run_cli(capsys, *argv):
@@ -214,8 +220,9 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--n-max", "5")
         assert (code, err) == (0, "")
 
+    @needs_pool
     def test_process_pool_matches_serial_bytes(self, capsys):
-        assert verify.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        assert concurrent.futures.process.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
         argv = ("table", "--n-max", "6", "--format", "json")
         code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
         _, serial, _ = run_cli(capsys, *argv)
@@ -277,6 +284,16 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_launch_leaves_pool_and_hashlib_unloaded():
+    code = (
+        "import sys, binomedian.cli; binomedian.cli.build_parser(); "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'hashlib') "
+        "if m in sys.modules])"
+    )
+    proc = run_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -335,20 +352,46 @@ class _SerialPool:
 
 class TestThreadCap:
     # a real pool would fork all max_workers processes at the first submit
+    @staticmethod
+    def _serial_pools(monkeypatch, cpus):
+        record = []
+        monkeypatch.setattr(
+            concurrent.futures.process,
+            "ProcessPoolExecutor",
+            lambda max_workers, **_: _SerialPool(max_workers, record),
+        )
+        monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
+        return record
+
     @pytest.mark.parametrize("command", ["table", "verify"])
     @pytest.mark.parametrize("n_max,pools", [("2", [2]), ("1", [])], ids=["two_tasks", "one_task"])
     def test_workers_capped_at_task_count(self, capsys, monkeypatch, command, n_max, pools):
-        record = []
-        monkeypatch.setattr(
-            verify, "ProcessPoolExecutor", lambda max_workers, **_: _SerialPool(max_workers, record)
-        )
+        record = self._serial_pools(monkeypatch, cpus=64)
         code, out, _ = run_cli(capsys, command, "--n-max", n_max, "--threads", "500")
         _, serial, _ = run_cli(capsys, command, "--n-max", n_max)
         assert code == 0
         assert out == serial
         assert record == pools
 
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    @pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, [])], ids=["three_cpus", "one_cpu"])
+    def test_workers_capped_at_cpu_count(self, capsys, monkeypatch, command, cpus, pools):
+        record = self._serial_pools(monkeypatch, cpus)
+        code, out, _ = run_cli(capsys, command, "--n-max", "6", "--threads", str(10**9))
+        _, serial, _ = run_cli(capsys, command, "--n-max", "6")
+        assert code == 0
+        assert out == serial
+        assert record == pools
 
+
+@needs_pool
+def test_dead_worker_raises_worker_error_from_the_pool():
+    with pytest.raises(verify.WorkerError) as excinfo:
+        verify.ordered_map(_exit_abruptly, [1, 2], 2)
+    assert isinstance(excinfo.value.__cause__, concurrent.futures.process.BrokenProcessPool)
+
+
+@needs_pool
 class TestStartMethods:
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"),
@@ -373,6 +416,7 @@ class TestStartMethods:
         assert (pooled.returncode, pooled.stdout) == (0, serial)
 
 
+@needs_pool
 class TestWorkerCrash:
     @pytest.mark.parametrize(
         "module,task_fn,command",

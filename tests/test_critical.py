@@ -119,6 +119,22 @@ class TestCriticalPoly:
         for m in range(0, 81):
             assert IntPolynomial(critical._one_minus_x_power(m)) == product_one_minus_x_power(m), m
 
+    def test_one_minus_x_power_matches_comb(self):
+        for m in range(61):
+            want = [(-1) ** t * math.comb(m, t) for t in range(m + 1)]
+            assert critical._one_minus_x_power(m) == want, m
+
+    def test_unchecked_constructions_equal_checked_ones(self):
+        # the library builds these without the constructor's per-coefficient type check
+        for n in range(1, 41):
+            polys = [cdf_polynomial(n, j) for j in range(n + 1)]
+            polys += [critical_poly(n, k) for k in range(1, n + 1)]
+            checks = [derivative_identity_check(n, j) for j in range(n)]
+            checks += [symmetry_identity_check(n, i) for i in range(1, n + 1)]
+            polys += [side for check in checks for side in (check.lhs, check.rhs)]
+            for poly in polys:
+                assert poly == IntPolynomial(poly.coeffs), n
+
     def test_leading_coefficient_closed_form(self):
         for n in range(1, 41):
             for k in range(1, n + 1):
