@@ -11,9 +11,18 @@ A Newton start (Kerman 2011) puts bisection straight onto its final dyadic
 cell: 2 signs per root at 35 digits instead of about 117.
 Its coefficients come from the closed form (derived in `cdf_polynomial`)
 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
-coefficient is 1 by construction.  The reflection and derivative identities
-are checked on coefficient lists built for them (`_reflect` computes
--P(1 - x) by a Taylor shift), with no polynomial arithmetic.
+coefficient is 1 by construction.
+
+The reflection and derivative identities are checked against one walk per
+n (`_walk`), with no polynomial arithmetic.  With T_m = C(n,m) x^m (1-x)^(n-m),
+it runs R_{n+1} = 1, R_i = R_{i+1} - 2 T_i down to the lowest index asked
+for.  By the binomial theorem the T_m sum to (x + (1 - x))^n = 1, so
+R_i = 2 sum_{m<i} T_m - 1 = 2 B(i-1; n, x) - 1, the definition of P_{n,i};
+and R_i = 1 - 2 sum_{m>=i} T_m = -(2 B(n-i; n, 1-x) - 1), the reflection
+-P_{n,n-i+1}(1 - x) of the partner's definition.  So P_{n,i} = R_i and
+P_{n,n-i+1} = R_{n-i+1}, both compared coefficient by coefficient, prove
+that the library's pair reflects.  Each step's term also gives the right
+side of P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i) = -2 i T_i / x.
 
 The irrationality certificates mechanize a three-way case split:
 
@@ -24,8 +33,8 @@ The irrationality certificates mechanize a three-way case split:
   has the form ±1/r for a positive integer r, and no such number lies in
   (1/2, 1), so the root is irrational;
 * k below the middle: the polynomial is the reflection -P(1 - x) of its
-  partner's P at index n-k+1 (checked coefficient-by-coefficient), so the
-  root is 1 minus the partner's and inherits its irrationality.
+  partner's P at index n-k+1 (both equal R from the walk), so the root is
+  1 minus the partner's and inherits its irrationality.
 
 Certificates rest on exact facts alone and never bisect.  A status's
 `enclosure`, the one `isolate_root` returns, is bisected on first read, and
@@ -40,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from operator import mul
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .polynomial import IntPolynomial, _from_ints
 from .rational import binomial_coeff, format_rational, shared_prefix_decimal
@@ -175,20 +185,32 @@ def _one_minus_x_power(m: int) -> list[int]:
     return coeffs
 
 
-def _reflect(coeffs: Iterable[int]) -> list[int]:
-    """Coefficients of -P(1 - x), where coeffs are those of P.
+def _walk(
+    n: int, indices: Collection[int]
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(i, R_i, 2 T_i / x^i) for each i in `indices`, descending, from one walk
+    R_{n+1} = 1, R_i = R_{i+1} - 2 T_i down to the least of them.
 
-    With c_i the coefficients of P, -P(1 - x) has x^j coefficient
-    (-1)^(j+1) sum_{i>=j} C(i,j) c_i: a Taylor shift to P(1 + y) by
-    synthetic division (integer additions only), then y = -x and the
-    negation fold into one sign per coefficient.  Trimmed input gives
-    trimmed output: the leading coefficient only changes sign.
+    R_i = 2 B(i-1; n, x) - 1 = -P_{n,n-i+1}(1 - x) by the binomial theorem
+    (module docstring).  The walk runs in the basis (-1)^s C(n,s) x^s, the
+    terms of (1-x)^n: there the x^s coefficient of T_i is (-1)^i C(s,i),
+    because C(n,i) C(n-i,s-i) = C(n,s) C(s,i), and column i of Pascal's
+    triangle follows from column i+1 by C(s,i) = C(s+1,i+1) - C(s,i+1), with
+    C(n,i) from the row.  So a step is O(n - i) additions; only the R_i and
+    terms asked for are multiplied out.
     """
-    shifted = list(coeffs)
-    for i in range(len(shifted) - 1):
-        for j in range(len(shifted) - 2, i - 1, -1):
-            shifted[j] += shifted[j + 1]
-    return [c if j % 2 else -c for j, c in enumerate(shifted)]
+    row = _one_minus_x_power(n)
+    # in that basis, r holds R_i and col[t] = 2 (-1)^i C(i+t, i) the x^(i+t) coefficient of 2 T_i
+    r, col = [1] + [0] * n, []
+    for i in range(n, min(indices) - 1, -1):
+        col = [b - a for a, b in zip(col, [0] + col)]
+        col.append(2 * row[i])
+        r[i:] = [a - b for a, b in zip(r[i:], col)]
+        if i in indices:
+            # lists: a tuple built from a map object is resized as it fills, and
+            # that raised the battery's young-generation collections 2.5-fold,
+            # promoting more short-lived cyclic garbage (peak RSS +25%)
+            yield i, list(map(mul, row, r)), list(map(mul, row[i:], col))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +352,12 @@ def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosu
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Verdict of a coefficient-by-coefficient identity, with both sides."""
+    """Verdict of a coefficient-by-coefficient identity, with both sides.
+
+    For the reflection identity `rhs` is R_i from `_walk`, the reflection of
+    the partner's definition, and `equal` also needs the library's partner
+    to equal R_{n-i+1}.
+    """
 
     equal: bool
     lhs: IntPolynomial
@@ -338,6 +365,19 @@ class IdentityCheck:
 
     def __bool__(self) -> bool:
         return self.equal
+
+
+def _derivative_sides(
+    coeffs: Sequence[int], i: int, term: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Q' and -i x^(i-1) `term` as coefficient lists, for Q = `coeffs`: equal
+    lists prove d/dx Q = -(i / x) T with T = x^i `term`.
+
+    With T = T_i = C(n,i) x^i (1-x)^(n-i) and Q = B(i-1; n, x) this is the
+    telescoped derivative of the CDF; for P_{n,i} = 2 B(i-1; n, x) - 1 both
+    sides double, and `_walk` yields 2 T_i / x^i.
+    """
+    return [s * c for s, c in enumerate(coeffs)][1:], [0] * (i - 1) + [-i * c for c in term]
 
 
 def derivative_identity_check(n: int, j: int) -> IdentityCheck:
@@ -351,30 +391,29 @@ def derivative_identity_check(n: int, j: int) -> IdentityCheck:
         raise ValueError("n must be positive")
     if not 0 <= j <= n - 1:
         raise ValueError(f"j must lie in [0, {n - 1}], got {j}")
-    # both sides have n coefficients and a nonzero leading one
-    lhs = [s * c for s, c in enumerate(_cdf_coeffs(n, j))][1:]
-    scale = -n * binomial_coeff(n - 1, j)
-    rhs = [0] * j + [scale * c for c in _one_minus_x_power(n - 1 - j)]
+    # (j+1) C(n,j+1) = n C(n-1,j); both sides have n coefficients and a nonzero leading one
+    term = [binomial_coeff(n, j + 1) * c for c in _one_minus_x_power(n - 1 - j)]
+    lhs, rhs = _derivative_sides(_cdf_coeffs(n, j), j + 1, term)
     return IdentityCheck(lhs == rhs, _from_ints(lhs), _from_ints(rhs))
 
 
 def symmetry_identity_check(n: int, i: int) -> IdentityCheck:
     """P_{n,i}(x) against -P_{n,n-i+1}(1-x), expanded and compared exactly.
 
-    Equality of the two expansions means the roots are mirror images:
-    the critical probability at index i equals 1 minus the one at n-i+1.
+    Both P_{n,i} and P_{n,n-i+1} are compared with R from one `_walk`: by
+    the binomial theorem R_i = 2 B(i-1; n, x) - 1 = -(2 B(n-i; n, 1-x) - 1),
+    the definition of P_{n,i} and the reflection of the partner's, so two
+    equal pairs mean the roots are mirror images: the critical probability
+    at index i equals 1 minus the one at n-i+1.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 <= i <= n:
         raise ValueError(f"i must lie in [1, {n}], got {i}")
-    return _reflection_check(n, i, critical_poly(n, n - i + 1))
-
-
-def _reflection_check(n: int, i: int, partner: IntPolynomial) -> IdentityCheck:
-    """`symmetry_identity_check` against an already built P_{n,n-i+1}."""
-    lhs, rhs = critical_poly(n, i), _from_ints(_reflect(partner.coeffs))
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+    polys = {m: critical_poly(n, m) for m in {i, n - i + 1}}
+    sides = {m: r for m, r, _ in _walk(n, polys)}
+    equal = all(list(poly.coeffs) == sides[m] for m, poly in polys.items())
+    return IdentityCheck(equal, polys[i], _from_ints(sides[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +551,10 @@ def _certificates(
 
     The odd middle index certifies the exact root 1/2; indices above the
     middle get direct upper-half evidence; indices below inherit from
-    their partner n-k+1 via the reflection identity.  Each upper-half
-    certificate and its polynomial are built once per call and shared.
+    their partner n-k+1 via the reflection identity, which one walk checks
+    for every such pair once the other facts hold, and reports at the
+    pair's lower index.  Each upper-half certificate and its polynomial are
+    built once per call and shared.
     """
     width = Fraction(width)
     if width <= 0:
@@ -522,6 +563,7 @@ def _certificates(
         raise ValueError("n must be positive")
     middle = (n + 1) // 2
     upper: dict[int, IrrationalityCertificate] = {}
+    pairs: dict[int, IntPolynomial] = {}  # lower indices and their partners
     out = []
     for k in ks:
         if not 1 <= k <= n:
@@ -544,10 +586,13 @@ def _certificates(
             upper[above] = IrrationalityCertificate(n, above, status)
         cert = upper[above]
         if k != above:
-            if not _reflection_check(n, k, cert.status.poly):
-                raise FalsificationError(f"reflection identity failed for (n={n}, i={k})")
+            pairs[k], pairs[above] = critical_poly(n, k), cert.status.poly
             cert = IrrationalityCertificate(n, k, IrrationalBySymmetry(above, cert))
         out.append(cert)
+    if pairs:
+        bad = [min(i, n - i + 1) for i, r, _ in _walk(n, pairs) if list(pairs[i].coeffs) != r]
+        if bad:
+            raise FalsificationError(f"reflection identity failed for (n={n}, i={min(bad)})")
     return out
 
 

@@ -30,14 +30,15 @@ from .critical import (
     IrrationalBySymmetry,
     IrrationalUpperHalf,
     SeparationError,
+    _derivative_sides,
+    _walk,
     certify_range,
     critical_poly,
-    derivative_identity_check,
     monotonicity_check,
-    symmetry_identity_check,
 )
 from .distribution import binomial_weights
 from .median import MedianInterval, MedianResult, UniqueMedian, median_binomial
+from .polynomial import IntPolynomial
 from .rational import format_rational
 
 __all__ = [
@@ -174,22 +175,28 @@ def _check_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
     return 1, None
 
 
-def _check_symmetry(n: int) -> tuple[int, str | None]:
-    """The reflection identity at all n indices, checked once per pair {i, n-i+1}:
-    substituting 1-x and negating turns the identity at i into the one at n-i+1."""
-    first_bad = None
-    for i in range(1, (n + 1) // 2 + 1):
-        if not symmetry_identity_check(n, i) and first_bad is None:
-            first_bad = f"n={n} i={i} reflection identity failed"
-    return n, first_bad
+def _check_identities(
+    n: int, polys: list[IntPolynomial]
+) -> tuple[tuple[int, str | None], tuple[int, str | None]]:
+    """The reflection and derivative identities for P_{n,i} = polys[i-1], i = 1..n,
+    compared with one `critical._walk` as it runs.
 
-
-def _check_derivative(n: int) -> tuple[int, str | None]:
-    first_bad = None
-    for j in range(n):
-        if not derivative_identity_check(n, j) and first_bad is None:
-            first_bad = f"n={n} j={j} derivative identity failed"
-    return n, first_bad
+    P_{n,i} = R_i for every i proves the reflection identity for every pair
+    {i, n-i+1}; a mismatch at either member is reported at the pair's lower
+    index.  Each step's term gives P'_{n,i} (reported as j = i-1).  Each
+    check counts n instances.
+    """
+    bad_pairs, bad_js = [], []
+    for i, r, term in _walk(n, range(1, n + 1)):
+        coeffs = polys[i - 1].coeffs
+        if list(coeffs) != r:
+            bad_pairs.append(min(i, n - i + 1))
+        lhs, rhs = _derivative_sides(coeffs, i, term)
+        if lhs != rhs:
+            bad_js.append(i - 1)
+    reflection = f"n={n} i={min(bad_pairs)} reflection identity failed" if bad_pairs else None
+    derivative = f"n={n} j={min(bad_js)} derivative identity failed" if bad_js else None
+    return (n, reflection), (n, derivative)
 
 
 def _expected_median(n: int, p: Fraction, result: MedianResult) -> str | None:
@@ -230,9 +237,10 @@ def _check_median_sweep(
 
 
 def _check_evaluation_consistency(
-    n: int, denom_max: int, seed: int
+    n: int, denom_max: int, seed: int, polys: list[IntPolynomial]
 ) -> tuple[int, str | None]:
-    """b^n P(a/b) = 2 sum_{i<k} w_i - b^n at random k and p = a/b, in integers.
+    """b^n P(a/b) = 2 sum_{i<k} w_i - b^n at random k and p = a/b, in integers,
+    with P_{n,k} = polys[k-1].
 
     The two sides share no code: Horner on the integer coefficients of
     `critical_poly` against the weights of `binomial_weights`.  `scaled_value`
@@ -248,7 +256,7 @@ def _check_evaluation_consistency(
         k = rng.randint(1, n)
         p = _draw_p(rng, denom_max)
         a, b = p.numerator, p.denominator
-        poly = critical_poly(n, k)
+        poly = polys[k - 1]
         top = max(n, poly.degree)
         via_poly = poly.scaled_value(a, b) * b ** (top - poly.degree)
         below = sum(itertools.islice(binomial_weights(n, a, b - a), k))
@@ -303,13 +311,13 @@ def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
 
 def _checks_for_n(task: tuple[int, int, Fraction, int]) -> list[tuple[int, str | None]]:
     n, denom_max, width, seed = task
+    polys = [critical_poly(n, k) for k in range(1, n + 1)]
     return [
         _check_certificates(n, width),
         _check_monotonicity(n, width),
-        _check_symmetry(n),
-        _check_derivative(n),
+        *_check_identities(n, polys),
         _check_median_sweep(n, denom_max, seed),
-        _check_evaluation_consistency(n, denom_max, seed),
+        _check_evaluation_consistency(n, denom_max, seed, polys),
     ]
 
 

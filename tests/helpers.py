@@ -6,8 +6,8 @@ medians from exhaustive enumeration against the defining inequalities,
 reference roots from integer Newton iteration, rational roots from an
 exhaustive rational-root-theorem candidate scan, the CDF polynomials from
 two binomial coefficients per term or, like P(1 - x), from explicit
-polynomial products, enclosures from a bisection
-that carries both ends and tests the gap as a Fraction or that starts
+polynomial products, -P(1 - x) also from a Taylor shift, enclosures from
+a bisection that carries both ends and tests the gap as a Fraction or that starts
 from [0, 1] without a Newton guess, `table` rows from one `isolate_root`
 call per k, binomial masses, CDFs and medians from a chain of Fraction
 mass ratios, polynomial values from a Fraction Horner loop, and decimal
@@ -253,6 +253,23 @@ def horner_compose_one_minus_x(poly: IntPolynomial) -> IntPolynomial:
     for c in reversed(poly.coeffs):
         result = poly_add(poly_mul(result, IntPolynomial((1, -1))), IntPolynomial((c,)))
     return result
+
+
+def taylor_reflect(coeffs) -> list[int]:
+    """Coefficients of -P(1 - x), where coeffs are those of P.
+
+    With c_i the coefficients of P, -P(1 - x) has x^j coefficient
+    (-1)^(j+1) sum_{i>=j} C(i,j) c_i: a Taylor shift to P(1 + y) by
+    synthetic division (integer additions only), then y = -x and the
+    negation fold into one sign per coefficient.  Trimmed input gives
+    trimmed output: the leading coefficient only changes sign.  O(n^2)
+    additions per polynomial; `critical._walk` is tested against it.
+    """
+    shifted = list(coeffs)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    return [c if j % 2 else -c for j, c in enumerate(shifted)]
 
 
 def fraction_gap_bisect(poly: IntPolynomial, width: Fraction):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomedian import critical
 from binomedian.critical import (
@@ -32,9 +34,11 @@ from helpers import (
     icbrt_fraction,
     isqrt_fraction,
     pascal_cdf_polynomial,
+    poly_add,
     product_one_minus_x_power,
     rational_root_scan,
     sign_at,
+    taylor_reflect,
 )
 
 UNIT = (Fraction(0), Fraction(1))
@@ -192,6 +196,74 @@ class TestSymmetryIdentity:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             symmetry_identity_check(3, 0)
+
+    def test_rhs_is_the_reflected_partner(self):
+        for n in range(1, 16):
+            for i in range(1, n + 1):
+                rhs = symmetry_identity_check(n, i).rhs.coeffs
+                assert list(rhs) == taylor_reflect(critical_poly(n, n - i + 1).coeffs), (n, i)
+
+    def test_mirror_consistent_pair_is_rejected(self, monkeypatch):
+        # P_{5,2} + q and P_{5,4} - q with q = x - x^2 = q(1 - x) still reflect
+        # into each other; each differs from its definition R_i
+        real = critical.critical_poly
+        shift = {(5, 4): -1}
+
+        def planted(n, k):
+            poly, d = real(n, k), shift.get((n, k))
+            return poly if d is None else poly_add(poly, IntPolynomial((0, d, -d)))
+
+        monkeypatch.setattr(critical, "critical_poly", planted)
+        # a wrong partner alone fails the lower index, whose own sides agree
+        check = symmetry_identity_check(5, 2)
+        assert check.lhs == check.rhs and not check.equal
+        shift[5, 2] = 1
+        assert taylor_reflect(planted(5, 4).coeffs) == list(planted(5, 2).coeffs)
+        for i in (2, 4):
+            check = symmetry_identity_check(5, i)
+            assert not check.equal
+            assert check.rhs == real(5, i)
+        assert symmetry_identity_check(5, 1).equal and symmetry_identity_check(5, 3).equal
+        with pytest.raises(FalsificationError, match=r"\(n=5, i=2\)"):
+            certify(5, 2)
+        with pytest.raises(FalsificationError, match=r"\(n=5, i=2\)"):
+            certify_range(5)
+
+
+def nk_pairs(n_max):
+    return st.integers(1, n_max).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+class TestWalk:
+    """`critical._walk`: R_i = 2 B(i-1; n, x) - 1 = -P_{n,n-i+1}(1 - x), and 2 T_i / x^i."""
+
+    def test_matches_closed_form_and_taylor_reflection(self):
+        for n in range(1, 61):
+            for k, r, _ in critical._walk(n, range(1, n + 1)):
+                assert r == list(critical_poly(n, k).coeffs), (n, k)
+                assert r == taylor_reflect(critical_poly(n, n - k + 1).coeffs), (n, k)
+
+    @settings(deadline=None)
+    @given(nk_pairs(200))
+    def test_one_index_matches_both_oracles(self, nk):
+        n, k = nk
+        ((i, r, _),) = critical._walk(n, {k})
+        assert i == k
+        assert r == list(critical_poly(n, k).coeffs)
+        assert r == taylor_reflect(critical_poly(n, n - k + 1).coeffs)
+
+    def test_terms_match_polynomial_products(self):
+        for n in range(1, 31):
+            for i, _, term in critical._walk(n, range(1, n + 1)):
+                want = [2 * math.comb(n, i) * c for c in product_one_minus_x_power(n - i).coeffs]
+                assert term == want, (n, i)
+
+    def test_walk_to_some_indices_matches_the_full_walk(self):
+        for n in (1, 2, 7, 40):
+            full = {i: (r, term) for i, r, term in critical._walk(n, range(1, n + 1))}
+            for wanted in ({n}, {1}, {1, n}, set(range(1, n + 1, 3))):
+                got = [(i, (r, term)) for i, r, term in critical._walk(n, wanted)]
+                assert got == sorted(((i, full[i]) for i in wanted), reverse=True), (n, wanted)
 
 
 class TestIsolateRoot:

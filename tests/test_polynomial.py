@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomedian.critical import _reflect, critical_poly
+from binomedian.critical import critical_poly
 from binomedian.polynomial import IntPolynomial
-from helpers import fraction_horner, horner_compose_one_minus_x, poly_add, poly_mul, sign_at
+from helpers import (
+    fraction_horner,
+    horner_compose_one_minus_x,
+    poly_add,
+    poly_mul,
+    sign_at,
+    taylor_reflect,
+)
 
 int_polys = st.lists(st.integers(), max_size=25).map(IntPolynomial)
 rationals = st.fractions(max_denominator=2**130)
@@ -89,34 +96,34 @@ class TestEvaluation:
 
 
 class TestCompose:
-    """`critical._reflect`, the coefficients of -P(1 - x)."""
+    """`helpers.taylor_reflect`, the coefficients of -P(1 - x)."""
 
     def test_one_minus_x_on_line(self):
         # -(1 - 2(1-x)) = 1 - 2x
-        assert _reflect([1, -2]) == [1, -2]
-        assert _reflect([0, 1]) == [-1, 1]
+        assert taylor_reflect([1, -2]) == [1, -2]
+        assert taylor_reflect([0, 1]) == [-1, 1]
 
     @settings(deadline=None)
     @given(int_polys)
     def test_involution(self, p):
-        assert _reflect(_reflect(p.coeffs)) == list(p.coeffs)
+        assert taylor_reflect(taylor_reflect(p.coeffs)) == list(p.coeffs)
 
     def test_matches_horner_on_every_critical_polynomial(self):
         for n in range(1, 41):
             for k in range(1, n + 1):
                 poly = critical_poly(n, k)
                 want = [-c for c in horner_compose_one_minus_x(poly).coeffs]
-                assert _reflect(poly.coeffs) == want, (n, k)
+                assert taylor_reflect(poly.coeffs) == want, (n, k)
 
     @settings(deadline=None)
     @given(int_polys)
     def test_matches_horner_oracle(self, p):
-        assert _reflect(p.coeffs) == [-c for c in horner_compose_one_minus_x(p).coeffs]
+        assert taylor_reflect(p.coeffs) == [-c for c in horner_compose_one_minus_x(p).coeffs]
 
     def test_matches_pointwise_evaluation(self):
         rng = random.Random(33)
         for _ in range(100):
             p = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 8))))
-            q = IntPolynomial(_reflect(p.coeffs))
+            q = IntPolynomial(taylor_reflect(p.coeffs))
             x = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
             assert fraction_horner(q, x) == -fraction_horner(p, 1 - x)

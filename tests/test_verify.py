@@ -12,7 +12,7 @@ from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
 from binomedian.verify import CHECK_NAMES, verify_theorem
-from helpers import fraction_gap_bisect, mc_median_check, poly_add
+from helpers import fraction_gap_bisect, mc_median_check, poly_add, taylor_reflect
 
 
 def failures(n_max):
@@ -21,15 +21,23 @@ def failures(n_max):
     return {c.name: c.counterexample for c in report.checks if not c.passed}
 
 
-def perturb(monkeypatch, n, k):
-    """Replace P_{n,k} by P_{n,k} + x - x^2, which keeps P(0) = 1 and P(1) = -1."""
+def plant(monkeypatch, added):
+    """Add added[(n, k)] to P_{n,k} in every namespace the battery reads
+    `critical_poly` from: `critical` for certificates and root isolation,
+    `verify` for the per-n list the identity and consistency checks read."""
     real = critical.critical_poly
 
     def planted(m, j):
         poly = real(m, j)
-        return poly_add(poly, IntPolynomial((0, 1, -1))) if (m, j) == (n, k) else poly
+        return poly_add(poly, added[m, j]) if (m, j) in added else poly
 
-    monkeypatch.setattr(critical, "critical_poly", planted)
+    for module in (critical, verify):
+        monkeypatch.setattr(module, "critical_poly", planted)
+
+
+def perturb(monkeypatch, n, k):
+    """Replace P_{n,k} by P_{n,k} + x - x^2, which keeps P(0) = 1 and P(1) = -1."""
+    plant(monkeypatch, {(n, k): IntPolynomial((0, 1, -1))})
 
 
 class TestVerifyTheorem:
@@ -199,6 +207,23 @@ class TestPlantedFaults:
             "certificates": "n=5 certificate construction failed: "
             "reflection identity failed for (n=5, i=2)",
             "symmetry_identity": "n=5 i=2 reflection identity failed",
+            "derivative_identity": "n=5 j=3 derivative identity failed",
+            "evaluation_consistency": "n=5 k=4 p=1/2 polynomial value 7/8 != CDF value 5/8",
+        }
+
+    def test_mirror_consistent_pair_fails_at_the_lower_index(self, monkeypatch):
+        # q = x - x^2 has q(1 - x) = q(x), so P_{5,2} + q and P_{5,4} - q still
+        # satisfy the reflection identity; only comparing both with their
+        # definition, R_2 and R_4 of the walk, tells them from the true pair
+        plant(monkeypatch, {(5, 2): IntPolynomial((0, 1, -1)), (5, 4): IntPolynomial((0, -1, 1))})
+        lower, upper = critical.critical_poly(5, 2), critical.critical_poly(5, 4)
+        assert taylor_reflect(upper.coeffs) == list(lower.coeffs)
+        assert failures(6) == {
+            "certificates": "n=5 certificate construction failed: "
+            "reflection identity failed for (n=5, i=2)",
+            "symmetry_identity": "n=5 i=2 reflection identity failed",
+            "derivative_identity": "n=5 j=1 derivative identity failed",
+            "evaluation_consistency": "n=5 k=4 p=1/2 polynomial value 3/8 != CDF value 5/8",
         }
 
     def test_middle_root_moved_off_one_half(self, monkeypatch):
@@ -207,6 +232,8 @@ class TestPlantedFaults:
             "certificates": "n=3 certificate construction failed: "
             "polynomial for odd n=3, middle k=2 does not vanish at 1/2",
             "symmetry_identity": "n=3 i=2 reflection identity failed",
+            "derivative_identity": "n=3 j=1 derivative identity failed",
+            "evaluation_consistency": "n=3 k=2 p=1/2 polynomial value 1/4 != CDF value 0/1",
         }
 
     def test_one_coefficient_off_by_one(self, monkeypatch):
@@ -224,44 +251,51 @@ class TestPlantedFaults:
             "reflection identity failed for (n=4, i=2)",
             "monotonicity": "n=4 polynomial for (n=4, k=2) lost its endpoint values +1/-1",
             "symmetry_identity": "n=4 i=2 reflection identity failed",
+            "derivative_identity": "n=4 j=1 derivative identity failed",
             "evaluation_consistency": "n=4 k=2 p=1/3 polynomial value 14/27 != CDF value 5/27",
         }
 
     def test_evaluation_consistency_sees_a_planted_polynomial(self, monkeypatch):
         # `verify` imports `critical_poly` by name, so the plant goes into its
-        # namespace; the first n = 2 draw at seed 0 is k = 2, p = 2/5
+        # namespace only: the per-n list the identity and consistency checks
+        # share; the first n = 2 draw at seed 0 is k = 2, p = 2/5
         real = critical.critical_poly
 
-        def plant(replace):
+        def plant_in_verify(replace):
             monkeypatch.setattr(
                 verify, "critical_poly", lambda n, k: replace(n, k) if (n, k) == (2, 2) else real(n, k)
             )
 
-        plant(lambda n, k: poly_add(real(n, k), IntPolynomial((0, 1, -1))))
+        plant_in_verify(lambda n, k: poly_add(real(n, k), IntPolynomial((0, 1, -1))))
         assert failures(3) == {
-            "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 23/25 != CDF value 17/25"
+            "symmetry_identity": "n=2 i=1 reflection identity failed",
+            "derivative_identity": "n=2 j=1 derivative identity failed",
+            "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 23/25 != CDF value 17/25",
         }
         # a polynomial of lower degree than n: 1 - 2x at 2/5
-        plant(lambda n, k: IntPolynomial((1, -2)))
+        plant_in_verify(lambda n, k: IntPolynomial((1, -2)))
         assert failures(3) == {
-            "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 1/5 != CDF value 17/25"
+            "symmetry_identity": "n=2 i=1 reflection identity failed",
+            "derivative_identity": "n=2 j=1 derivative identity failed",
+            "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 1/5 != CDF value 17/25",
         }
 
 
-class TestSymmetryWork:
-    def test_one_identity_check_per_reflection_pair(self, monkeypatch):
+class TestIdentityWork:
+    def test_each_polynomial_built_once_per_check_pass(self, monkeypatch):
+        # per n: certificates and root isolation build P_{n,1..n} once each,
+        # and the identity and consistency checks share one more list; the
+        # walk builds no polynomial
         calls = []
-        real = verify.symmetry_identity_check
+        real = critical._cdf_coeffs
 
-        def counted(n, i):
-            calls.append((n, i))
-            return real(n, i)
+        def counted(n, j):
+            calls.append((n, j))
+            return real(n, j)
 
-        monkeypatch.setattr(verify, "symmetry_identity_check", counted)
-        for n in range(1, 13):
-            calls.clear()
-            assert verify._check_symmetry(n) == (n, None)
-            assert len(calls) == (n + 1) // 2, n
+        monkeypatch.setattr(critical, "_cdf_coeffs", counted)
+        assert verify_theorem(28, denom_max=200, seed=7).passed
+        assert len(calls) <= 1218
 
 
 class TestMcMedianCheck:
