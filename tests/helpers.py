@@ -8,7 +8,8 @@ exhaustive rational-root-theorem candidate scan, the CDF polynomials from
 two binomial coefficients per term or, like P(1 - x), from explicit
 polynomial products, -P(1 - x) also from a Taylor shift, enclosures from
 a bisection that carries both ends and tests the gap as a Fraction or that starts
-from [0, 1] without a Newton guess, `table` rows from one `isolate_root`
+from [0, 1] without a Newton guess and with its step count from a Fraction
+1 / width, `table` rows from one `isolate_root`
 call per k, binomial masses, CDFs and medians from a chain of Fraction
 mass ratios, polynomial values from a Fraction Horner loop, and decimal
 renderings from Fraction products.  `mc_median_check` is the suite's one
@@ -30,7 +31,6 @@ from binomedian.critical import (
     ExactRoot,
     FalsificationError,
     _checked_poly,
-    _steps_for,
     isolate_root,
 )
 from binomedian.distribution import BinomialParams, binomial_weights
@@ -303,11 +303,19 @@ def fraction_gap_bisect(poly: IntPolynomial, width: Fraction):
             hi_n = mid_n
 
 
+def fraction_steps_for(width: Fraction) -> int:
+    """Bisection steps after which the gap 2^-t is <= width, from the
+    Fraction 1 / width: the bit length of ceil(1 / width) - 1."""
+    inv = 1 / width
+    ceil_inv = -((-inv.numerator) // inv.denominator)
+    return max(ceil_inv - 1, 0).bit_length()
+
+
 def bisection_enclose(n: int, k: int, width: Fraction):
     """`isolate_root` without its Newton start: plain bisection from
     [0, 1], with the same stop conditions and step cap."""
     poly = _checked_poly(n, k)
-    steps = _steps_for(width)
+    steps = fraction_steps_for(width)
     lo, t = 0, 0
     while not (t >= steps and 0 < lo and lo + 1 < 1 << t):
         if t >= 4 * steps + 256:

@@ -3,7 +3,8 @@
 The start must not change a single enclosure: every result is compared
 with `bisection_enclose`, plain bisection from [0, 1].
 The sign-count guard makes a silent slide back to full bisection fail
-without any timing.
+without any timing, and the Horner-pass guard does the same for a slide
+back to a slower start.
 """
 
 from fractions import Fraction
@@ -14,10 +15,13 @@ from hypothesis import strategies as st
 
 from binomedian import cli, critical
 from binomedian.critical import Bracket, ExactRoot, isolate_root
-from helpers import HALF, bisection_enclose
+from binomedian.rational import binomial_coeff
+from helpers import HALF, bisection_enclose, fraction_steps_for
 
 ORACLE_WIDTHS = [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**35)]
 ORACLE_IDS = ["1/2", "1e-6", "1e-35"]
+# one scale where `_halley_step` works exactly and one where it cuts operands
+STEP_SCALES = [64, 2 * critical._CUT_BITS]
 
 
 @pytest.fixture
@@ -33,6 +37,44 @@ def sign_count(monkeypatch):
 
     monkeypatch.setattr(critical, "_sign_at", counting)
     return count
+
+
+@pytest.fixture
+def horner_count(monkeypatch):
+    """A one-element list counting every fixed-point Horner pass
+    (`critical._horner_floor`): the start's steps and the proving signs."""
+    count = [0]
+    horner_floor = critical._horner_floor
+
+    def counting(poly, m, t, q):
+        count[0] += 1
+        return horner_floor(poly, m, t, q)
+
+    monkeypatch.setattr(critical, "_horner_floor", counting)
+    return count
+
+
+def assert_cells_proved(ns, digit_values):
+    """`_newton_cell`'s cell passes the two proving signs for every k of each
+    n at each width 10^-digits; the odd middle root 1/2 gives None."""
+    for n in ns:
+        for k in range(1, n + 1):
+            poly = critical._checked_poly(n, k)
+            for digits in digit_values:
+                t = critical._steps_for(Fraction(1, 10**digits))
+                lo = critical._newton_cell(poly, n, k, t)
+                if 2 * k == n + 1:
+                    assert lo is None, (n, k, digits)
+                    continue
+                assert lo is not None, (n, k, digits)
+                signs = critical._sign_at(poly, lo, t), critical._sign_at(poly, lo + 1, t)
+                assert signs == (1, -1), (n, k, digits)
+
+
+def step_args(n, k, s):
+    """`_halley_step`'s arguments after m: the scale, guard and derivative constant."""
+    guard = n.bit_length() + 16
+    return s, guard, (2 * n * binomial_coeff(n - 1, k - 1)) << guard
 
 
 @pytest.mark.parametrize("width", ORACLE_WIDTHS, ids=ORACLE_IDS)
@@ -59,6 +101,10 @@ def test_without_newton_outputs_are_unchanged(monkeypatch, capsys):
         ["critical", "--n", "50", "--k", "30", "--digits", "60"],
         ["critical", "--n", "9", "--k", "5"],
         ["certify", "--n", "30", "--k", "10"],
+        # the odd middle, and a root that runs the deepest schedule with cut operands
+        ["critical", "--n", "7", "--k", "4", "--digits", "1000"],
+        ["critical", "--n", "7", "--k", "3", "--digits", "1000"],
+        ["verify", "--n-max", "12", "--seed", "3"],
     ]
 
     def outputs():
@@ -94,16 +140,99 @@ def test_odd_middle_index_is_exact_half():
             assert isolate_root(n, middle, width) == ExactRoot(HALF), (n, width)
 
 
+def test_no_fallback_at_any_width():
+    # a fault in the precision schedule can show at a single width only, so
+    # every width from 10^0 to 10^-60
+    assert_cells_proved(range(1, 41), range(61))
+
+
 @pytest.mark.parametrize("n", [100, 200, 300])
 def test_no_fallback_at_larger_n(n):
-    middle = (n + 1) // 2
-    for width in (Fraction(1, 10**6), critical.DEFAULT_WIDTH, Fraction(1, 10**35)):
-        t = critical._steps_for(width)
-        for k in (1, 2, middle - 1, middle + 1, n - 1, n):
-            poly = critical._checked_poly(n, k)
-            lo = critical._newton_cell(poly, n, k, t)
-            assert lo is not None, (n, k, width)
-            assert poly.scaled_value(lo, 1 << t) > 0 > poly.scaled_value(lo + 1, 1 << t), (n, k)
+    assert_cells_proved([n], sorted({*range(0, 61, 10), 6, 35}))
+
+
+def test_no_fallback_with_cut_operands(monkeypatch):
+    # by default only scales of `_CUT_BITS` or more (about 300 digits) cut
+    # their operands; with the threshold at 0 every step does
+    assert_cells_proved(range(1, 13), range(100, 1300, 150))
+    monkeypatch.setattr(critical, "_CUT_BITS", 0)
+    assert_cells_proved(range(1, 41), range(0, 61, 4))
+
+
+def test_horner_passes_per_root(horner_count):
+    # 4 Halley steps reach the cell and 2 signs prove it; Newton took 6 + 2
+    width = Fraction(1, 10**35)
+    roots = 0
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            horner_count[0] = 0
+            if isinstance(isolate_root(n, k, width), Bracket):
+                roots += 1
+                assert horner_count[0] == 6, (n, k, horner_count[0])
+    assert roots == 800
+
+
+@pytest.mark.parametrize("s", STEP_SCALES, ids=["exact", "cut"])
+@pytest.mark.parametrize("n", [2, 5, 40, 300])
+def test_step_from_either_end_is_bounded(n, s):
+    top = (1 << s) - 1
+    for k in (1, n):
+        poly = critical._checked_poly(n, k)
+        # P' vanishes to order n - 1 at the flat end, where Newton's step
+        # would be about 2^(s(n-2)) units; Halley's is about 2/(n-1)
+        flat, steep = (1, top) if k == n else (top, 1)
+        assert abs(critical._halley_step(poly, n, k, flat, *step_args(n, k, s)) - flat) <= 2
+        # from the steep end the step moves toward the root and stays inside
+        new = critical._halley_step(poly, n, k, steep, *step_args(n, k, s))
+        assert 0 < new < top and (new - steep) * (top - 2 * steep) > 0, (k, new)
+
+
+@pytest.mark.parametrize("s", STEP_SCALES, ids=["exact", "cut"])
+def test_step_is_newtons_where_halleys_denominator_is_not_positive(monkeypatch, s):
+    # at k = 1, P''/P' < 0; a planted P(1/2) = 16 makes 2my + d c negative
+    n, k, m = 5, 1, 1 << (s - 1)
+    _, guard, scale = step_args(n, k, s)
+    value = 1 << (s + guard + 4)
+    monkeypatch.setattr(critical, "_horner_floor", lambda *args: value)
+    y = (1 << s) - m
+    d = (value << s * (n - 1)) // (scale * y ** (n - 1))
+    assert 2 * m * y + d * ((k - 1) * y - (n - k) * m) <= 0
+    new = critical._halley_step(critical._checked_poly(n, k), n, k, m, s, guard, scale)
+    # the cut path's quotient is within one unit of the floor
+    assert abs(new - (m + d)) <= (1 if s >= critical._CUT_BITS else 0)
+
+
+def test_cut_step_is_within_a_few_units_of_the_exact_step(monkeypatch):
+    # from points as far off as each step's input: one third of the bits right
+    for n, k in [(2, 1), (5, 2), (7, 7), (40, 27), (300, 1), (300, 151)]:
+        poly = critical._checked_poly(n, k)
+        for s in (700, 2000):
+            root = critical._newton_cell(poly, n, k, s)
+            for offset in (-(1 << (2 * s // 3)), 1 << (s // 2), 1 << (s // 3), 1):
+                m = root + offset
+                monkeypatch.setattr(critical, "_CUT_BITS", 0)
+                cut = critical._halley_step(poly, n, k, m, *step_args(n, k, s))
+                monkeypatch.setattr(critical, "_CUT_BITS", s + 1)
+                exact = critical._halley_step(poly, n, k, m, *step_args(n, k, s))
+                assert abs(cut - exact) <= 3, (n, k, s, offset, cut - exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(0, 4000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)),
+    b=st.integers(0, 3000).flatmap(lambda bits: st.integers(1, 2**bits)),
+    guard=st.integers(3, 40),
+)
+def test_quotient_is_within_one_of_floor_division(a, b, guard):
+    assert abs(critical._quotient(a, b, guard) - a // b) <= 1
+
+
+@pytest.mark.parametrize(
+    "width",
+    [Fraction(3, 2), Fraction(1, 2), Fraction(3, 10**7)] + [Fraction(1, 10**d) for d in range(61)],
+)
+def test_steps_for_matches_the_fraction_formula(width):
+    assert critical._steps_for(width) == fraction_steps_for(width)
 
 
 def test_sign_evaluations_per_root_stay_low(sign_count):

@@ -137,7 +137,7 @@ def test_forced_fallback_takes_one_fixed_try_then_the_exact_sign(monkeypatch, ex
 
 
 def test_exact_fallback_stays_rare(monkeypatch, exact_calls):
-    # Newton's steps and the two proving signs decide every irrational root
+    # the start's steps and the two proving signs decide every irrational root
     # in fixed point, each sign at the first precision tried; only the odd
     # middle root 1/2 needs the exact path
     signs, tries, inside = [0], [0], [False]
