@@ -13,20 +13,14 @@ from .critical import (
     ExactRational,
     ExactRoot,
     FalsificationError,
-    IdentityCheck,
     IrrationalBySymmetry,
     IrrationalityCertificate,
     IrrationalUpperHalf,
     RootEnclosure,
-    SeparationError,
-    cdf_polynomial,
     certify,
     certify_range,
     critical_poly,
-    derivative_identity_check,
     isolate_root,
-    monotonicity_check,
-    symmetry_identity_check,
 )
 from .distribution import BinomialParams, ParameterError, cdf, pmf, pmf_sequence, survival
 from .median import (

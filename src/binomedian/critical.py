@@ -10,12 +10,13 @@ absolute error bound, exact only where that bound cannot tell (`_sign_at`).
 Halley steps from Kerman's start (Kerman 2011) put bisection straight onto
 its final dyadic cell: at 35 digits, 4 Horner passes reach it and 2 signs
 prove it, where bisection alone takes about 117 signs.
-Its coefficients come from the closed form (derived in `cdf_polynomial`)
+Its coefficients come from the closed form (derived in `_cdf_coeffs`)
 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
 coefficient is 1 by construction.
 
-The reflection and derivative identities are checked against one walk per
-n (`_walk`), with no polynomial arithmetic.  With T_m = C(n,m) x^m (1-x)^(n-m),
+The certificates check the reflection identity, and `verify`'s battery both
+it and the derivative identity, against one walk per n (`_walk`), with no
+polynomial arithmetic.  With T_m = C(n,m) x^m (1-x)^(n-m),
 it runs R_{n+1} = 1, R_i = R_{i+1} - 2 T_i down to the lowest index asked
 for.  By the binomial theorem the T_m sum to (x + (1 - x))^n = 1, so
 R_i = 2 sum_{m<i} T_m - 1 = 2 B(i-1; n, x) - 1, the definition of P_{n,i};
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Collection, Iterable, Iterator, Sequence, Union
+from typing import Collection, Iterable, Iterator, Union
 
 from .polynomial import IntPolynomial, _from_ints
 from .rational import binomial_coeff, format_rational, shared_prefix_decimal
@@ -59,21 +60,15 @@ from .rational import binomial_coeff, format_rational, shared_prefix_decimal
 __all__ = [
     "DEFAULT_WIDTH",
     "FalsificationError",
-    "SeparationError",
     "ExactRoot",
     "Bracket",
     "RootEnclosure",
-    "IdentityCheck",
     "ExactRational",
     "IrrationalUpperHalf",
     "IrrationalBySymmetry",
     "IrrationalityCertificate",
-    "cdf_polynomial",
     "critical_poly",
     "isolate_root",
-    "derivative_identity_check",
-    "symmetry_identity_check",
-    "monotonicity_check",
     "certify",
     "certify_range",
 ]
@@ -92,10 +87,6 @@ class FalsificationError(RuntimeError):
     an implementation bug or an actual counterexample to the uniqueness
     theorem, and either deserves a crash.
     """
-
-
-class SeparationError(RuntimeError):
-    """Two adjacent roots' enclosures are not disjoint and ascending."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +127,8 @@ RootEnclosure = Union[ExactRoot, Bracket]
 
 
 def _cdf_coeffs(n: int, j: int) -> list[int]:
-    """Coefficients of `cdf_polynomial(n, j)`, for 0 <= j <= n."""
-    coeffs, term = [1] + [0] * j, -binomial_coeff(n, j + 1)
-    for s in range(j + 1, n + 1):
-        coeffs.append(term)
-        term = -term * (n - s) * s // ((s + 1) * (s - j))
-    return coeffs
-
-
-def cdf_polynomial(n: int, j: int) -> IntPolynomial:
-    """Full expansion of sum_{i=0}^{j} C(n,i) x^i (1-x)^(n-i), from the
-    closed form 1 + sum_{s=j+1}^{n} (-1)^(s-j) C(n,s) C(s-1,j) x^s.
+    """Coefficients of the full expansion of sum_{i=0}^{j} C(n,i) x^i (1-x)^(n-i),
+    0 <= j <= n, from the closed form 1 + sum_{s=j+1}^{n} (-1)^(s-j) C(n,s) C(s-1,j) x^s.
 
     The coefficient of x^s is sum_{i<=min(j,s)} (-1)^(s-i) C(n,i) C(n-i,s-i).
     Since C(n,i) C(n-i,s-i) = C(n,s) C(s,i), it equals
@@ -155,11 +137,11 @@ def cdf_polynomial(n: int, j: int) -> IntPolynomial:
     partial alternating sum is (-1)^j C(s-1,j).  Term s+1 is exactly term s
     times -(n-s) s / ((s+1)(s-j)): C(n,s)(n-s) = C(n,s+1)(s+1), C(s-1,j) s = C(s,j)(s-j).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0 <= j <= n:
-        raise ValueError("j must lie in [0, n]")
-    return _from_ints(_cdf_coeffs(n, j))
+    coeffs, term = [1] + [0] * j, -binomial_coeff(n, j + 1)
+    for s in range(j + 1, n + 1):
+        coeffs.append(term)
+        term = -term * (n - s) * s // ((s + 1) * (s - j))
+    return coeffs
 
 
 def critical_poly(n: int, k: int) -> IntPolynomial:
@@ -405,111 +387,6 @@ def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosu
     if width <= 0:
         raise ValueError("width must be positive")
     return _bisect(_checked_poly(n, k), n, k, width)
-
-
-# ---------------------------------------------------------------------------
-# polynomial identities
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Verdict of a coefficient-by-coefficient identity, with both sides.
-
-    For the reflection identity `rhs` is R_i from `_walk`, the reflection of
-    the partner's definition, and `equal` also needs the library's partner
-    to equal R_{n-i+1}.
-    """
-
-    equal: bool
-    lhs: IntPolynomial
-    rhs: IntPolynomial
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-def _derivative_sides(
-    coeffs: Sequence[int], i: int, term: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Q' and -i x^(i-1) `term` as coefficient lists, for Q = `coeffs`: equal
-    lists prove d/dx Q = -(i / x) T with T = x^i `term`.
-
-    With T = T_i = C(n,i) x^i (1-x)^(n-i) and Q = B(i-1; n, x) this is the
-    telescoped derivative of the CDF; for P_{n,i} = 2 B(i-1; n, x) - 1 both
-    sides double, and `_walk` yields 2 T_i / x^i.
-    """
-    return [s * c for s, c in enumerate(coeffs)][1:], [0] * (i - 1) + [-i * c for c in term]
-
-
-def derivative_identity_check(n: int, j: int) -> IdentityCheck:
-    """d/dx of the expanded CDF polynomial against -n * C(n-1,j) x^j (1-x)^(n-1-j).
-
-    The formal derivative of sum_{i<=j} C(n,i) x^i (1-x)^(n-i) telescopes
-    down to a single negative term, which is why the CDF is strictly
-    decreasing in p and each critical probability is the only root in (0,1).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"j must lie in [0, {n - 1}], got {j}")
-    # (j+1) C(n,j+1) = n C(n-1,j); both sides have n coefficients and a nonzero leading one
-    term = [binomial_coeff(n, j + 1) * c for c in _one_minus_x_power(n - 1 - j)]
-    lhs, rhs = _derivative_sides(_cdf_coeffs(n, j), j + 1, term)
-    return IdentityCheck(lhs == rhs, _from_ints(lhs), _from_ints(rhs))
-
-
-def symmetry_identity_check(n: int, i: int) -> IdentityCheck:
-    """P_{n,i}(x) against -P_{n,n-i+1}(1-x), expanded and compared exactly.
-
-    Both P_{n,i} and P_{n,n-i+1} are compared with R from one `_walk`: by
-    the binomial theorem R_i = 2 B(i-1; n, x) - 1 = -(2 B(n-i; n, 1-x) - 1),
-    the definition of P_{n,i} and the reflection of the partner's, so two
-    equal pairs mean the roots are mirror images: the critical probability
-    at index i equals 1 minus the one at n-i+1.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= i <= n:
-        raise ValueError(f"i must lie in [1, {n}], got {i}")
-    polys = {m: critical_poly(n, m) for m in {i, n - i + 1}}
-    sides = {m: r for m, r, _ in _walk(n, polys)}
-    equal = all(list(poly.coeffs) == sides[m] for m, poly in polys.items())
-    return IdentityCheck(equal, polys[i], _from_ints(sides[i]))
-
-
-# ---------------------------------------------------------------------------
-# monotonicity
-
-
-def _as_interval(enc: RootEnclosure) -> tuple[Fraction, Fraction]:
-    if isinstance(enc, ExactRoot):
-        return enc.root, enc.root
-    return enc.lo, enc.hi
-
-
-def monotonicity_check(n: int, width: Fraction = DEFAULT_WIDTH) -> bool:
-    """Confirm the n critical probabilities are strictly increasing in k.
-
-    Encloses every root once at the given width and compares adjacent
-    enclosures; the first pair that is not disjoint and ascending raises
-    SeparationError.  At 10^-6, the widest width the CLI asks for, every
-    n <= 60 separates, and a narrower width only shrinks each enclosure
-    to a sub-cell of bisection's coarser one.
-    """
-    width = Fraction(width)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if n == 1:
-        return True
-    intervals = [_as_interval(isolate_root(n, k, width)) for k in range(1, n + 1)]
-    for k in range(1, n):
-        if intervals[k - 1][1] >= intervals[k][0]:
-            raise SeparationError(
-                f"roots {k} and {k + 1} of n={n} are not separated at width {width}"
-            )
-    return True
 
 
 # ---------------------------------------------------------------------------

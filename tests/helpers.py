@@ -185,7 +185,7 @@ def rational_root_scan(
 
 
 def comb_cdf_polynomial(n: int, j: int) -> IntPolynomial:
-    """`cdf_polynomial`'s closed form 1 + sum_{s>j} (-1)^(s-j) C(n,s) C(s-1,j) x^s,
+    """`critical._cdf_coeffs`'s closed form 1 + sum_{s>j} (-1)^(s-j) C(n,s) C(s-1,j) x^s,
     with two binomial coefficients per term."""
     tail = [
         (-1) ** (s - j) * math.comb(n, s) * math.comb(s - 1, j)

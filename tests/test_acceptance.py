@@ -19,14 +19,7 @@ from math import comb
 import pytest
 
 import binomedian
-from binomedian.critical import (
-    ExactRational,
-    certify,
-    critical_poly,
-    derivative_identity_check,
-    isolate_root,
-    symmetry_identity_check,
-)
+from binomedian.critical import ExactRational, certify, critical_poly, isolate_root
 from binomedian.median import (
     MedianClass,
     MedianInterval,
@@ -35,6 +28,7 @@ from binomedian.median import (
     median_binomial,
     median_finite,
 )
+from binomedian.verify import _check_identities
 from helpers import (
     HALF,
     icbrt_fraction,
@@ -135,10 +129,8 @@ def test_criterion_4_constant_coefficient_law():
 
 def test_criterion_5_polynomial_identities():
     for n in range(1, 31):
-        for j in range(n):
-            assert derivative_identity_check(n, j).equal
-        for i in range(1, n + 1):
-            assert symmetry_identity_check(n, i).equal
+        polys = [critical_poly(n, k) for k in range(1, n + 1)]
+        assert _check_identities(n, polys) == ((n, None), (n, None)), n
     passed("5", "derivative and reflection identities exhaustive to n = 30")
 
 

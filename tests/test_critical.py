@@ -6,23 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomedian import critical
+from binomedian import critical, verify
 from binomedian.critical import (
+    DEFAULT_WIDTH,
     Bracket,
     ExactRational,
     ExactRoot,
     FalsificationError,
     IrrationalBySymmetry,
     IrrationalUpperHalf,
-    SeparationError,
-    cdf_polynomial,
     certify,
     certify_range,
     critical_poly,
-    derivative_identity_check,
     isolate_root,
-    monotonicity_check,
-    symmetry_identity_check,
 )
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.polynomial import IntPolynomial
@@ -107,17 +103,17 @@ class TestCriticalPoly:
 
     def test_total_mass_polynomial_is_one(self):
         for n in range(0, 12):
-            assert cdf_polynomial(n, n) == IntPolynomial((1,))
+            assert critical._cdf_coeffs(n, n) == [1] + [0] * n
 
     def test_closed_form_matches_pascal_expansion(self):
         for n in range(0, 61):
             for j in range(n + 1):
-                assert cdf_polynomial(n, j) == pascal_cdf_polynomial(n, j), (n, j)
+                assert IntPolynomial(critical._cdf_coeffs(n, j)) == pascal_cdf_polynomial(n, j), (n, j)
 
     @pytest.mark.parametrize("n", [100, 300, 1000])
     def test_term_ratio_matches_binomial_products(self, n):
         for j in sorted({0, 1, n // 3, n // 2, n - 2, n - 1, n}):
-            assert cdf_polynomial(n, j) == comb_cdf_polynomial(n, j), (n, j)
+            assert IntPolynomial(critical._cdf_coeffs(n, j)) == comb_cdf_polynomial(n, j), (n, j)
 
     def test_one_minus_x_power_matches_products(self):
         for m in range(0, 81):
@@ -131,13 +127,9 @@ class TestCriticalPoly:
     def test_unchecked_constructions_equal_checked_ones(self):
         # the library builds these without the constructor's per-coefficient type check
         for n in range(1, 41):
-            polys = [cdf_polynomial(n, j) for j in range(n + 1)]
-            polys += [critical_poly(n, k) for k in range(1, n + 1)]
-            checks = [derivative_identity_check(n, j) for j in range(n)]
-            checks += [symmetry_identity_check(n, i) for i in range(1, n + 1)]
-            polys += [side for check in checks for side in (check.lhs, check.rhs)]
-            for poly in polys:
-                assert poly == IntPolynomial(poly.coeffs), n
+            for k in range(1, n + 1):
+                poly = critical_poly(n, k)
+                assert poly == IntPolynomial(poly.coeffs), (n, k)
 
     def test_leading_coefficient_closed_form(self):
         for n in range(1, 41):
@@ -146,62 +138,57 @@ class TestCriticalPoly:
                 assert critical_poly(n, k).coeffs[-1] == want, (n, k)
 
 
+def polys_for(n):
+    return [critical_poly(n, k) for k in range(1, n + 1)]
+
+
+def walk_derivative_sides(n, i):
+    """P'_{n,i} and -i x^(i-1) (2 T_i / x^i) from the walk's term, as coefficient lists."""
+    ((_, _, term),) = critical._walk(n, {i})
+    derivative = [s * c for s, c in enumerate(critical_poly(n, i).coeffs)][1:]
+    return derivative, [0] * (i - 1) + [-i * c for c in term]
+
+
 class TestDerivativeIdentity:
+    """P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i), as the battery's
+    `verify._check_identities` checks it against the walk's terms."""
+
     def test_two_trials(self):
-        check = derivative_identity_check(2, 0)
-        assert check.equal
-        assert check.lhs == IntPolynomial((-2, 2))
-        assert check.rhs == IntPolynomial((-2, 2))
+        # P_{2,1} = 1 - 4x + 2x^2
+        assert walk_derivative_sides(2, 1) == ([-4, 4], [-4, 4])
 
     def test_degree_zero_case(self):
-        check = derivative_identity_check(1, 0)
-        assert check.equal
-        assert check.lhs == IntPolynomial((-1,))
+        assert walk_derivative_sides(1, 1) == ([-2], [-2])
 
     def test_top_index_closed_form(self):
-        # B(3,4,p) = 1 - p^4, derivative -4p^3
-        check = derivative_identity_check(4, 3)
-        assert check.equal
-        assert check.lhs == IntPolynomial((0, 0, 0, -4))
+        # P_{4,4} = 2 (1 - p^4) - 1, derivative -8p^3
+        assert walk_derivative_sides(4, 4) == ([0, 0, 0, -8], [0, 0, 0, -8])
 
     def test_exhaustive_small(self):
         for n in range(1, 16):
-            for j in range(n):
-                assert derivative_identity_check(n, j).equal
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            derivative_identity_check(2, 2)
-        with pytest.raises(ValueError):
-            derivative_identity_check(0, 0)
+            assert verify._check_identities(n, polys_for(n))[1] == (n, None), n
 
 
 class TestSymmetryIdentity:
+    """P_{n,i}(x) = -P_{n,n-i+1}(1 - x), as the battery's
+    `verify._check_identities` checks it against the walk's R_i."""
+
     def test_pair(self):
-        check = symmetry_identity_check(2, 1)
-        assert check.equal
-        assert check.lhs == IntPolynomial((1, -4, 2))
+        ((_, r, _),) = critical._walk(2, {1})
+        assert r == [1, -4, 2] == list(critical_poly(2, 1).coeffs)
+        assert r == taylor_reflect(critical_poly(2, 2).coeffs)
 
     def test_self_partner_antisymmetry(self):
-        assert symmetry_identity_check(3, 2).equal
+        ((_, r, _),) = critical._walk(3, {2})
+        assert r == list(critical_poly(3, 2).coeffs) == taylor_reflect(critical_poly(3, 2).coeffs)
 
     def test_single_trial(self):
-        assert symmetry_identity_check(1, 1).equal
+        ((_, r, _),) = critical._walk(1, {1})
+        assert r == [1, -2] == list(critical_poly(1, 1).coeffs) == taylor_reflect(critical_poly(1, 1).coeffs)
 
     def test_exhaustive_small(self):
         for n in range(1, 16):
-            for i in range(1, n + 1):
-                assert symmetry_identity_check(n, i).equal
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            symmetry_identity_check(3, 0)
-
-    def test_rhs_is_the_reflected_partner(self):
-        for n in range(1, 16):
-            for i in range(1, n + 1):
-                rhs = symmetry_identity_check(n, i).rhs.coeffs
-                assert list(rhs) == taylor_reflect(critical_poly(n, n - i + 1).coeffs), (n, i)
+            assert verify._check_identities(n, polys_for(n))[0] == (n, None), n
 
     def test_mirror_consistent_pair_is_rejected(self, monkeypatch):
         # P_{5,2} + q and P_{5,4} - q with q = x - x^2 = q(1 - x) still reflect
@@ -214,16 +201,13 @@ class TestSymmetryIdentity:
             return poly if d is None else poly_add(poly, IntPolynomial((0, d, -d)))
 
         monkeypatch.setattr(critical, "critical_poly", planted)
-        # a wrong partner alone fails the lower index, whose own sides agree
-        check = symmetry_identity_check(5, 2)
-        assert check.lhs == check.rhs and not check.equal
+        polys = [planted(5, k) for k in range(1, 6)]
+        # a wrong partner alone fails the pair at its lower index
+        assert verify._check_identities(5, polys)[0] == (5, "n=5 i=2 reflection identity failed")
         shift[5, 2] = 1
-        assert taylor_reflect(planted(5, 4).coeffs) == list(planted(5, 2).coeffs)
-        for i in (2, 4):
-            check = symmetry_identity_check(5, i)
-            assert not check.equal
-            assert check.rhs == real(5, i)
-        assert symmetry_identity_check(5, 1).equal and symmetry_identity_check(5, 3).equal
+        polys = [planted(5, k) for k in range(1, 6)]
+        assert taylor_reflect(polys[3].coeffs) == list(polys[1].coeffs)
+        assert verify._check_identities(5, polys)[0] == (5, "n=5 i=2 reflection identity failed")
         with pytest.raises(FalsificationError, match=r"\(n=5, i=2\)"):
             certify(5, 2)
         with pytest.raises(FalsificationError, match=r"\(n=5, i=2\)"):
@@ -355,38 +339,39 @@ class TestRationalRootScan:
 
 
 class TestMonotonicity:
+    """The battery's ordering check, `verify._check_monotonicity`, over
+    `isolate_root`'s enclosures."""
+
     def test_single_root_is_vacuous(self):
-        assert monotonicity_check(1) is True
+        assert verify._check_monotonicity(1, DEFAULT_WIDTH) == (1, None)
 
     def test_small_cases(self):
         for n in (2, 3, 6, 11):
-            assert monotonicity_check(n, Fraction(1, 10**12)) is True
+            assert verify._check_monotonicity(n, Fraction(1, 10**12)) == (1, None), n
 
     def test_moderate_width_still_separates(self):
-        assert monotonicity_check(2, Fraction(1, 100)) is True
+        assert verify._check_monotonicity(2, Fraction(1, 100)) == (1, None)
 
     def test_unit_width_hits_refinement_cap(self):
         # width 1 stops at the level-2 cells [1/4, 1/2] and [1/2, 3/4]
-        with pytest.raises(SeparationError, match="roots 1 and 2 of n=2 .* width 1$"):
-            monotonicity_check(2, Fraction(1))
+        assert verify._check_monotonicity(2, Fraction(1)) == (
+            1, "n=2 roots 1 and 2 of n=2 are not separated at width 1"
+        )
 
     def test_cli_widest_width_separates_with_one_enclosure_per_root(self, monkeypatch):
+        # the battery's whole root-isolation pattern: k = 1..n for each n >= 2,
+        # nothing at n = 1; the benchmark tracer's call count rests on it
         calls = []
-        isolate = critical.isolate_root
+        isolate = verify.isolate_root
 
         def counting(n, k, width):
-            calls.append(k)
+            calls.append((n, k))
             return isolate(n, k, width)
 
+        monkeypatch.setattr(verify, "isolate_root", counting)
         monkeypatch.setattr(critical, "isolate_root", counting)
-        for n in range(1, 61):
-            calls.clear()
-            assert monotonicity_check(n, Fraction(1, 10**6)) is True
-            assert calls == (list(range(1, n + 1)) if n > 1 else []), n
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            monotonicity_check(3, Fraction(-1, 2))
+        assert verify.verify_theorem(60, denom_max=1, width=Fraction(1, 10**6)).passed
+        assert calls == [(n, k) for n in range(2, 61) for k in range(1, n + 1)]
 
 
 class TestCertify:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from binomedian import cli, critical, verify
-from binomedian.critical import FalsificationError, SeparationError
+from binomedian.critical import DEFAULT_WIDTH, FalsificationError
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
@@ -170,8 +170,8 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             critical, "critical_poly", lambda n, k: real(*swap.get((n, k), (n, k)))
         )
-        with pytest.raises(SeparationError, match="roots 4 and 5 of n=6 "):
-            critical.monotonicity_check(6)
+        _, message = verify._check_monotonicity(6, DEFAULT_WIDTH)
+        assert message.startswith("n=6 roots 4 and 5 of n=6 ")
         bad = failures(7)
         assert bad["monotonicity"].startswith("n=6 roots 4 and 5 of n=6 ")
         assert bad["certificates"].startswith("n=6 ")
