@@ -268,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the full theorem battery up to n-max",
         description="Cost, measured: grows about like n-max^3 "
-        "(n-max 30 to 120), mostly the monotonicity check's bisections.",
+        "(n-max 80 to 320). About half is the monotonicity check's root "
+        "isolation at a coarse width: four Horner passes per root, plus "
+        "building each polynomial; the certificates come next.",
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--denom-max", type=int, default=200)

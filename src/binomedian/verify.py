@@ -3,8 +3,9 @@
 `verify_theorem` re-derives, for every n up to a bound, everything the
 median-uniqueness result rests on: certificate shapes for all k, strict
 ordering of the critical probabilities, the reflection and derivative
-identities, a randomized median sweep over rational p, and agreement
-between the two independent ways of evaluating 2*B(k-1,n,p) - 1.
+identities, a randomized median sweep over rational p that confirms each
+median's value by two exact signs, and agreement between the two
+independent ways of evaluating 2*B(k-1,n,p) - 1.
 Failures are collected into the report, never raised.  Every check is
 exact: the randomized ones draw rational instances from seeded integer
 streams, and only the report's `wall_time` is a float.
@@ -167,27 +168,39 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
 
 
 def _check_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
-    """p(n, 1) < ... < p(n, n): one `isolate_root` enclosure per root at
-    `width`, and every adjacent pair disjoint and ascending.  n = 1 has
-    nothing to compare.
+    """p(n, 1) < ... < p(n, n): one `isolate_root` enclosure per root, and
+    every adjacent pair disjoint and ascending.  n = 1 has nothing to compare.
 
-    At 10^-6, the widest width the CLI asks for, every n <= 60 separates,
-    and a narrower width only shrinks each enclosure to a sub-cell of
-    bisection's coarser one.
+    The enclosures are first taken at the coarse width
+    max(width, 2^-(bit_length(n) + 4)), at most 1/(16n), against root gaps
+    of about 1/(n + 1).  That verdict is the one at `width`, because the
+    enclosures nest: an irrational root's enclosure at any width is the
+    dyadic level-t cell that holds it, t the least level at or past the
+    width's steps with both ends interior, so the finer width's cell lies
+    inside the coarser one's; the odd middle root is ExactRoot(1/2) at every
+    width.  Disjoint ascending coarse enclosures thus imply fine ones that
+    are too.  Only when the coarse pass fails, by an overlap or a
+    FalsificationError, does the check isolate every root again at `width`
+    and report from that pass, so a failure reads as it would at `width`
+    alone.  A passing n costs n `isolate_root` calls.
     """
     if n == 1:
         return 1, None
-    try:
-        intervals = [
-            (e.root, e.root) if isinstance(e, ExactRoot) else (e.lo, e.hi)
-            for e in (isolate_root(n, k, width) for k in range(1, n + 1))
-        ]
-    except FalsificationError as exc:
-        return 1, f"n={n} {exc}"
-    for k in range(1, n):
-        if intervals[k - 1][1] >= intervals[k][0]:
-            return 1, f"n={n} roots {k} and {k + 1} of n={n} are not separated at width {width}"
-    return 1, None
+    coarse = max(width, Fraction(1, 1 << (n.bit_length() + 4)))
+    for w in dict.fromkeys((coarse, width)):  # one pass where width is the coarse one
+        try:
+            intervals = [
+                (e.root, e.root) if isinstance(e, ExactRoot) else (e.lo, e.hi)
+                for e in (isolate_root(n, k, w) for k in range(1, n + 1))
+            ]
+        except FalsificationError as exc:
+            message = f"n={n} {exc}"
+            continue
+        bad = next((k for k in range(1, n) if intervals[k - 1][1] >= intervals[k][0]), None)
+        if bad is None:
+            return 1, None
+        message = f"n={n} roots {bad} and {bad + 1} of n={n} are not separated at width {w}"
+    return 1, message
 
 
 def _check_identities(
@@ -215,7 +228,30 @@ def _check_identities(
     return (n, reflection), (n, derivative)
 
 
-def _expected_median(n: int, p: Fraction, result: MedianResult) -> str | None:
+def _median_value(n: int, p: Fraction, m: Fraction, polys: list[IntPolynomial]) -> str | None:
+    """None when m is the median of B(n, p) by two exact signs,
+    P_{n,m}(p) < 0 < P_{n,m+1}(p), that is B(m-1; n, p) < 1/2 < B(m; n, p),
+    with P_{n,k} = polys[k-1], P_{n,0} = -1 and P_{n,n+1} = +1."""
+    # compared as ints: each Fraction comparison costs about a microsecond
+    if m.denominator != 1 or not 0 <= m.numerator <= n:
+        return f"n={n} p={format_rational(p)} median {m} is not one of the integers 0 to {n}"
+    m, a, b = m.numerator, p.numerator, p.denominator
+    for k, want in ((m, -1), (m + 1, 1)):
+        if not 1 <= k <= n:
+            continue
+        value = polys[k - 1].scaled_value(a, b)
+        sign = (value > 0) - (value < 0)
+        if sign != want:
+            return (
+                f"n={n} p={format_rational(p)} median {m} contradicted by "
+                f"P_{{{n},{k}}}({format_rational(p)}) {'<=>'[sign + 1]} 0"
+            )
+    return None
+
+
+def _expected_median(
+    n: int, p: Fraction, result: MedianResult, polys: list[IntPolynomial]
+) -> str | None:
     if p == _HALF and n % 2 == 1:
         want = MedianInterval(Fraction(n - 1, 2), Fraction(n + 1, 2))
         if result != want:
@@ -229,15 +265,18 @@ def _expected_median(n: int, p: Fraction, result: MedianResult) -> str | None:
             f"n={n} p={format_rational(p)} has a non-unique median "
             f"[{result.m1},{result.m2}]"
         )
-    return None
+    return _median_value(n, p, result.m, polys)
 
 
 def _check_median_sweep(
-    n: int, denom_max: int, seed: int
+    n: int, denom_max: int, seed: int, polys: list[IntPolynomial]
 ) -> tuple[int, str | None]:
+    """Median classification at p = 1/2 and at random rational p: an interval
+    exactly at odd n and p = 1/2, and otherwise a unique median whose value
+    `_median_value` confirms on P_{n,k} = polys[k-1]."""
     first_bad = None
     # the known exception is pinned explicitly rather than left to chance
-    bad = _expected_median(n, _HALF, median_binomial(n, _HALF))
+    bad = _expected_median(n, _HALF, median_binomial(n, _HALF), polys)
     if bad is not None:
         first_bad = bad
     instances = 1
@@ -245,7 +284,7 @@ def _check_median_sweep(
         rng = _rng_for(seed, "median_sweep", n)
         for _ in range(MEDIAN_SWEEP_DRAWS):
             p = _draw_p(rng, denom_max)
-            bad = _expected_median(n, p, median_binomial(n, p))
+            bad = _expected_median(n, p, median_binomial(n, p), polys)
             if bad is not None and first_bad is None:
                 first_bad = bad
             instances += 1
@@ -332,7 +371,7 @@ def _checks_for_n(task: tuple[int, int, Fraction, int]) -> list[tuple[int, str |
         _check_certificates(n, width),
         _check_monotonicity(n, width),
         *_check_identities(n, polys),
-        _check_median_sweep(n, denom_max, seed),
+        _check_median_sweep(n, denom_max, seed, polys),
         _check_evaluation_consistency(n, denom_max, seed, polys),
     ]
 

@@ -10,7 +10,8 @@ polynomial products, -P(1 - x) also from a Taylor shift, enclosures from
 a bisection that carries both ends and tests the gap as a Fraction or that starts
 from [0, 1] without a Newton guess and with its step count from a Fraction
 1 / width, `table` rows from one `isolate_root`
-call per k, binomial masses, CDFs and medians from a chain of Fraction
+call per k, the battery's ordering verdict from enclosures at the requested
+width alone, binomial masses, CDFs and medians from a chain of Fraction
 mass ratios, polynomial values from a Fraction Horner loop, and decimal
 renderings from Fraction products.  `mc_median_check` is the suite's one
 floating-point oracle: an empirical median from seeded samples.
@@ -329,6 +330,25 @@ def bisection_enclose(n: int, k: int, width: Fraction):
             return ExactRoot(Fraction(mid, 1 << t))
         lo = mid if sign > 0 else 2 * lo
     return Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
+
+
+def fine_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
+    """`verify._check_monotonicity` as it ran before its coarse first pass:
+    one `isolate_root` enclosure per root at `width` alone, and every
+    adjacent pair disjoint and ascending.  n = 1 has nothing to compare."""
+    if n == 1:
+        return 1, None
+    try:
+        intervals = [
+            (e.root, e.root) if isinstance(e, ExactRoot) else (e.lo, e.hi)
+            for e in (isolate_root(n, k, width) for k in range(1, n + 1))
+        ]
+    except FalsificationError as exc:
+        return 1, f"n={n} {exc}"
+    for k in range(1, n):
+        if intervals[k - 1][1] >= intervals[k][0]:
+            return 1, f"n={n} roots {k} and {k + 1} of n={n} are not separated at width {width}"
+    return 1, None
 
 
 def isolate_root_table_rows(n: int, width: Fraction, digits: int) -> list[dict]:

@@ -7,12 +7,18 @@ from fractions import Fraction
 import pytest
 
 from binomedian import cli, critical, verify
-from binomedian.critical import DEFAULT_WIDTH, FalsificationError
+from binomedian.critical import DEFAULT_WIDTH, ExactRoot, FalsificationError, isolate_root
 from binomedian.distribution import BinomialParams, cdf
 from binomedian.median import MedianInterval, UniqueMedian
 from binomedian.polynomial import IntPolynomial
 from binomedian.verify import CHECK_NAMES, verify_theorem
-from helpers import fraction_gap_bisect, mc_median_check, poly_add, taylor_reflect
+from helpers import (
+    fraction_gap_bisect,
+    fine_monotonicity,
+    mc_median_check,
+    poly_add,
+    taylor_reflect,
+)
 
 
 def failures(n_max):
@@ -38,6 +44,41 @@ def plant(monkeypatch, added):
 def perturb(monkeypatch, n, k):
     """Replace P_{n,k} by P_{n,k} + x - x^2, which keeps P(0) = 1 and P(1) = -1."""
     plant(monkeypatch, {(n, k): IntPolynomial((0, 1, -1))})
+
+
+def replace_poly(replace):
+    """A plant that reads P_{n,k} as replace(real critical_poly, n, k) in
+    `critical`, where certificates and root isolation build it."""
+
+    def install(monkeypatch):
+        real = critical.critical_poly
+        monkeypatch.setattr(critical, "critical_poly", lambda n, k: replace(real, n, k))
+
+    return install
+
+
+#: The planted faults that break root isolation or the order of the roots.
+ORDERING_FAULTS = {
+    "swapped_6_4_and_6_5": replace_poly(
+        lambda real, n, k: real(*{(6, 4): (6, 5), (6, 5): (6, 4)}.get((n, k), (n, k)))
+    ),
+    "p_2_1_in_place_of_p_2_2": replace_poly(
+        lambda real, n, k: real(2, 1) if (n, k) == (2, 2) else real(n, k)
+    ),
+    "sign_kernel_never_settles": lambda monkeypatch: monkeypatch.setattr(
+        critical, "_sign_at", lambda poly, m, t: 1
+    ),
+    "lost_endpoint_value_at_1": replace_poly(
+        lambda real, n, k: IntPolynomial((1, 1)) if (n, k) == (3, 3) else real(n, k)
+    ),
+    "lost_endpoint_value_at_1_by_one_coefficient": replace_poly(
+        lambda real, n, k: (
+            poly_add(real(n, k), IntPolynomial((0, 1))) if (n, k) == (4, 2) else real(n, k)
+        )
+    ),
+}
+
+ORDERING_WIDTHS = (Fraction(1, 7), Fraction(1, 10**6), DEFAULT_WIDTH, Fraction(1, 10**35))
 
 
 class TestVerifyTheorem:
@@ -208,6 +249,7 @@ class TestPlantedFaults:
             "reflection identity failed for (n=5, i=2)",
             "symmetry_identity": "n=5 i=2 reflection identity failed",
             "derivative_identity": "n=5 j=3 derivative identity failed",
+            "median_sweep": "n=5 p=7/10 median 4 contradicted by P_{5,4}(7/10) > 0",
             "evaluation_consistency": "n=5 k=4 p=1/2 polynomial value 7/8 != CDF value 5/8",
         }
 
@@ -223,6 +265,7 @@ class TestPlantedFaults:
             "reflection identity failed for (n=5, i=2)",
             "symmetry_identity": "n=5 i=2 reflection identity failed",
             "derivative_identity": "n=5 j=1 derivative identity failed",
+            "median_sweep": "n=5 p=2/3 median 3 contradicted by P_{5,4}(2/3) < 0",
             "evaluation_consistency": "n=5 k=4 p=1/2 polynomial value 3/8 != CDF value 5/8",
         }
 
@@ -252,6 +295,7 @@ class TestPlantedFaults:
             "monotonicity": "n=4 polynomial for (n=4, k=2) lost its endpoint values +1/-1",
             "symmetry_identity": "n=4 i=2 reflection identity failed",
             "derivative_identity": "n=4 j=1 derivative identity failed",
+            "median_sweep": "n=4 p=1/2 median 2 contradicted by P_{4,2}(1/2) > 0",
             "evaluation_consistency": "n=4 k=2 p=1/3 polynomial value 14/27 != CDF value 5/27",
         }
 
@@ -270,6 +314,7 @@ class TestPlantedFaults:
         assert failures(3) == {
             "symmetry_identity": "n=2 i=1 reflection identity failed",
             "derivative_identity": "n=2 j=1 derivative identity failed",
+            "median_sweep": "n=2 p=3/4 median 2 contradicted by P_{2,2}(3/4) > 0",
             "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 23/25 != CDF value 17/25",
         }
         # a polynomial of lower degree than n: 1 - 2x at 2/5
@@ -277,8 +322,95 @@ class TestPlantedFaults:
         assert failures(3) == {
             "symmetry_identity": "n=2 i=1 reflection identity failed",
             "derivative_identity": "n=2 j=1 derivative identity failed",
+            "median_sweep": "n=2 p=1/2 median 1 contradicted by P_{2,2}(1/2) = 0",
             "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 1/5 != CDF value 17/25",
         }
+
+    @pytest.mark.parametrize(
+        "shift, above_half_only, message",
+        [
+            (1, False, "n=1 p=7/10 median 2 is not one of the integers 0 to 1"),
+            (-1, False, "n=1 p=7/10 median 0 contradicted by P_{1,1}(7/10) < 0"),
+            # the reflection median(n, p) = n - median(n, 1 - p) off by one
+            (-1, True, "n=1 p=7/10 median 0 contradicted by P_{1,1}(7/10) < 0"),
+        ],
+    )
+    def test_median_off_by_one(self, monkeypatch, capsys, shift, above_half_only, message):
+        # every result stays a unique median, so only its value can tell
+        real = verify.median_binomial
+
+        def shifted(n, p):
+            result = real(n, p)
+            if isinstance(result, UniqueMedian) and (p > Fraction(1, 2) or not above_half_only):
+                return UniqueMedian(result.m + shift)
+            return result
+
+        monkeypatch.setattr(verify, "median_binomial", shifted)
+        assert failures(3) == {"median_sweep": message}
+        assert cli.main(["verify", "--n-max", "3", "--denom-max", "10", "--digits", "6"]) == 1
+        assert message in capsys.readouterr().out
+
+
+class TestCoarseOrdering:
+    """`_check_monotonicity` orders coarse enclosures first and isolates at
+    the requested width only when they fail; `helpers.fine_monotonicity`
+    is the check at the requested width alone."""
+
+    @pytest.mark.parametrize("width", ORDERING_WIDTHS)
+    def test_same_verdict_as_the_fine_check(self, width):
+        for n in range(1, 41):
+            assert verify._check_monotonicity(n, width) == fine_monotonicity(n, width), n
+
+    @pytest.mark.parametrize("fault", sorted(ORDERING_FAULTS))
+    def test_same_verdict_under_planted_faults(self, monkeypatch, fault):
+        ORDERING_FAULTS[fault](monkeypatch)
+        verdicts = []
+        for width in ORDERING_WIDTHS:
+            for n in range(1, 8):
+                verdict = verify._check_monotonicity(n, width)
+                assert verdict == fine_monotonicity(n, width), (n, width)
+                verdicts.append(verdict[1])
+        assert any(verdicts), "the fault planted nothing the check sees"
+
+    def test_enclosures_nest(self):
+        # the lemma the coarse pass rests on: a finer width's enclosure lies
+        # inside the one at the coarse width
+        for n in range(1, 41):
+            for width in ORDERING_WIDTHS:
+                coarse = max(width, Fraction(1, 1 << (n.bit_length() + 4)))
+                for k in range(1, n + 1):
+                    fine, outer = isolate_root(n, k, width), isolate_root(n, k, coarse)
+                    if isinstance(outer, ExactRoot):
+                        assert fine == outer, (n, k, width)
+                    else:
+                        assert outer.lo <= fine.lo < fine.hi <= outer.hi, (n, k, width)
+
+    def test_isolate_root_calls(self, monkeypatch):
+        widths = []
+        real = verify.isolate_root
+
+        def counted(n, k, width):
+            widths.append(width)
+            return real(n, k, width)
+
+        monkeypatch.setattr(verify, "isolate_root", counted)
+
+        def cost(n, width):
+            widths.clear()
+            passed = verify._check_monotonicity(n, width)[1] is None
+            return passed, len(widths)
+
+        # a passing n costs one pass, also when the requested width is coarser
+        # than the coarse one; there a failing n has no finer width to try
+        for n in (2, 3, 10, 40):
+            assert cost(n, DEFAULT_WIDTH) == (True, n), n
+        for n in (2, 3):
+            assert cost(n, Fraction(1, 7)) == (True, n), n
+        assert cost(12, Fraction(1, 7)) == (False, 12)
+        # a planted overlap costs both passes, the second at the requested width
+        ORDERING_FAULTS["swapped_6_4_and_6_5"](monkeypatch)
+        assert cost(6, DEFAULT_WIDTH) == (False, 12)
+        assert widths[6:] == [DEFAULT_WIDTH] * 6
 
 
 class TestIdentityWork:
