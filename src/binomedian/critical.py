@@ -43,7 +43,11 @@ Certificates rest on exact facts alone and never bisect.  A status's
 a lower index reflects its partner's: n enclosures bisect only the upper half.
 
 Every branch re-checks the exact facts it relies on and raises
-FalsificationError instead of ever passing silently.
+FalsificationError instead of ever passing silently.  `isolate_root` and
+`certify_range` build their polynomials with `critical_poly` unless the
+caller hands them in (`poly=`, `polys=`); `verify`'s battery builds
+P_{n,1..n} once per n and passes that one list to both, and they check on
+it the same facts they check on polynomials they build.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Collection, Iterable, Iterator, Union
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .polynomial import IntPolynomial, _from_ints
 from .rational import binomial_coeff, format_rational, shared_prefix_decimal
@@ -144,16 +148,20 @@ def _cdf_coeffs(n: int, j: int) -> list[int]:
     return coeffs
 
 
+def _check_index(n: int, k: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+
+
 def critical_poly(n: int, k: int) -> IntPolynomial:
     """The integer polynomial 2*B(k-1, n, x) - 1, fully expanded.
 
     Degree is exactly n and the constant coefficient is exactly 1; its
     unique root in (0, 1) is the critical probability for (n, k).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    _check_index(n, k)
     coeffs = [2 * c for c in _cdf_coeffs(n, k - 1)]
     coeffs[0] -= 1
     return _from_ints(coeffs)
@@ -206,9 +214,13 @@ def _steps_for(width: Fraction) -> int:
     return max(-(-width.denominator // width.numerator) - 1, 0).bit_length()
 
 
-def _checked_poly(n: int, k: int) -> IntPolynomial:
-    """critical_poly plus the endpoint sign facts bisection relies on."""
-    poly = critical_poly(n, k)
+def _checked_poly(n: int, k: int, poly: IntPolynomial | None = None) -> IntPolynomial:
+    """`poly`, or critical_poly(n, k) where it is None, once it has the
+    endpoint values P(0) = 1 and P(1) = -1 bisection relies on."""
+    if poly is None:
+        poly = critical_poly(n, k)
+    else:
+        _check_index(n, k)
     if poly.constant != 1 or sum(poly.coeffs) != -1:
         raise FalsificationError(
             f"polynomial for (n={n}, k={k}) lost its endpoint values +1/-1"
@@ -376,17 +388,24 @@ def _bisect(poly: IntPolynomial, n: int, k: int, width: Fraction) -> RootEnclosu
     return Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
 
 
-def isolate_root(n: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
+def isolate_root(
+    n: int, k: int, width: Fraction = DEFAULT_WIDTH, *, poly: IntPolynomial | None = None
+) -> RootEnclosure:
     """Certified enclosure of the critical probability for (n, k).
 
     Returns either the exact rational root (only ever 1/2, at the odd
     middle index) or a bracket of width at most `width` with proved
     opposite signs at its endpoints, both strictly inside (0, 1).
+
+    `poly`, when given, stands in for critical_poly(n, k), which is then
+    not built; n and k are still validated, and `poly` must pass the same
+    endpoint check, constant coefficient 1 and P(1) = -1, or
+    FalsificationError is raised as for a built polynomial.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    return _bisect(_checked_poly(n, k), n, k, width)
+    return _bisect(_checked_poly(n, k, poly), n, k, width)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +502,7 @@ class IrrationalityCertificate:
 
 
 def _certificates(
-    n: int, ks: Iterable[int], width: Fraction
+    n: int, ks: Iterable[int], width: Fraction, polys: Sequence[IntPolynomial] | None = None
 ) -> list[IrrationalityCertificate]:
     """Certificates for the indices `ks` of one n, in order.
 
@@ -491,23 +510,29 @@ def _certificates(
     middle get direct upper-half evidence; indices below inherit from
     their partner n-k+1 via the reflection identity, which one walk checks
     for every such pair once the other facts hold, and reports at the
-    pair's lower index.  Each upper-half certificate and its polynomial are
-    built once per call and shared.
+    pair's lower index.  Each upper-half certificate is made once per call
+    and shared.  P_{n,k} is polys[k-1] where `polys` is given, else
+    critical_poly(n, k), built once per call at most.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     if n < 1:
         raise ValueError("n must be positive")
+    if polys is not None and len(polys) != n:
+        raise ValueError(f"polys must hold the {n} polynomials of n={n}, got {len(polys)}")
+
+    def poly_for(k: int) -> IntPolynomial:
+        return critical_poly(n, k) if polys is None else polys[k - 1]
+
     middle = (n + 1) // 2
     upper: dict[int, IrrationalityCertificate] = {}
     pairs: dict[int, IntPolynomial] = {}  # lower indices and their partners
     out = []
     for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}], got {k}")
+        _check_index(n, k)
         if n % 2 == 1 and k == middle:
-            if _checked_poly(n, k).scaled_value(1, 2) != 0:
+            if _checked_poly(n, k, poly_for(k)).scaled_value(1, 2) != 0:
                 raise FalsificationError(
                     f"polynomial for odd n={n}, middle k={k} does not vanish at 1/2"
                 )
@@ -515,7 +540,7 @@ def _certificates(
             continue
         above = max(k, n - k + 1)  # k itself, or its partner above the middle
         if above not in upper:
-            poly = _checked_poly(n, above)
+            poly = _checked_poly(n, above, poly_for(above))
             if poly.scaled_value(1, 2) <= 0:
                 raise FalsificationError(
                     f"P(1/2) is not positive for (n={n}, k={above}) above the middle index"
@@ -524,7 +549,7 @@ def _certificates(
             upper[above] = IrrationalityCertificate(n, above, status)
         cert = upper[above]
         if k != above:
-            pairs[k], pairs[above] = critical_poly(n, k), cert.status.poly
+            pairs[k], pairs[above] = poly_for(k), cert.status.poly
             cert = IrrationalityCertificate(n, k, IrrationalBySymmetry(above, cert))
         out.append(cert)
     if pairs:
@@ -541,12 +566,22 @@ def certify(
     return _certificates(n, (k,), width)[0]
 
 
-def certify_range(n: int, width: Fraction = DEFAULT_WIDTH) -> list[IrrationalityCertificate]:
+def certify_range(
+    n: int, width: Fraction = DEFAULT_WIDTH, *, polys: Sequence[IntPolynomial] | None = None
+) -> list[IrrationalityCertificate]:
     """Certificates for every k in [1, n], each upper-half one shared with
     its partner, so reading every `enclosure` bisects each upper root once.
 
     Each status's `enclosure` equals `isolate_root(n, k, width)`: the
     reflection of a level-t dyadic cell is the level-t cell, and the stop
     conditions of the bisection are symmetric about 1/2.
+
+    `polys`, when given, holds P_{n,1..n} in order and stands in for
+    `critical_poly`, which is then not called; a list of any other length
+    raises ValueError.  The certificates check on it every fact they check
+    on built polynomials: constant coefficient 1 and P(1) = -1 at the middle
+    and above, P(1/2) > 0 above the middle and P(1/2) = 0 at the odd middle,
+    and their own reflection walk over every pair, so a wrong list raises
+    the FalsificationError a wrong `critical_poly` would.
     """
-    return _certificates(n, range(1, n + 1), width)
+    return _certificates(n, range(1, n + 1), width, polys)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from . import critical
 from .critical import (
     DEFAULT_WIDTH,
     ExactRational,
@@ -33,7 +34,6 @@ from .critical import (
     IrrationalUpperHalf,
     _walk,
     certify_range,
-    critical_poly,
     isolate_root,
 )
 from .distribution import binomial_weights
@@ -135,10 +135,13 @@ def _draw_p(rng: random.Random, denom_max: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
+def _check_certificates(
+    n: int, width: Fraction, polys: list[IntPolynomial]
+) -> tuple[int, str | None]:
+    """The certificate of every k for P_{n,k} = polys[k-1], and its shape."""
     middle = (n + 1) // 2
     try:
-        certs = certify_range(n, width)
+        certs = certify_range(n, width, polys=polys)
     except FalsificationError as exc:
         return n, f"n={n} certificate construction failed: {exc}"
     # below[k] = sum_{i<k} C(n,i), so 2^n P_k(1/2) = 2 below[k] - 2^n; from
@@ -167,9 +170,12 @@ def _check_certificates(n: int, width: Fraction) -> tuple[int, str | None]:
     return n, first_bad
 
 
-def _check_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
-    """p(n, 1) < ... < p(n, n): one `isolate_root` enclosure per root, and
-    every adjacent pair disjoint and ascending.  n = 1 has nothing to compare.
+def _check_monotonicity(
+    n: int, width: Fraction, polys: list[IntPolynomial]
+) -> tuple[int, str | None]:
+    """p(n, 1) < ... < p(n, n): one `isolate_root` enclosure per root of
+    P_{n,k} = polys[k-1], and every adjacent pair disjoint and ascending.
+    n = 1 has nothing to compare.
 
     The enclosures are first taken at the coarse width
     max(width, 2^-(bit_length(n) + 4)), at most 1/(16n), against root gaps
@@ -191,7 +197,7 @@ def _check_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:
         try:
             intervals = [
                 (e.root, e.root) if isinstance(e, ExactRoot) else (e.lo, e.hi)
-                for e in (isolate_root(n, k, w) for k in range(1, n + 1))
+                for e in (isolate_root(n, k, w, poly=polys[k - 1]) for k in range(1, n + 1))
             ]
         except FalsificationError as exc:
             message = f"n={n} {exc}"
@@ -364,12 +370,19 @@ def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
     return [fn(task) for task in tasks]
 
 
+def _critical_polys(n: int) -> list[IntPolynomial]:
+    """P_{n,1..n}, the one list every check of n reads.  Built through
+    `critical.critical_poly`, the name the printing paths call, so a fault
+    there reaches the battery as it reaches them."""
+    return [critical.critical_poly(n, k) for k in range(1, n + 1)]
+
+
 def _checks_for_n(task: tuple[int, int, Fraction, int]) -> list[tuple[int, str | None]]:
     n, denom_max, width, seed = task
-    polys = [critical_poly(n, k) for k in range(1, n + 1)]
+    polys = _critical_polys(n)
     return [
-        _check_certificates(n, width),
-        _check_monotonicity(n, width),
+        _check_certificates(n, width, polys),
+        _check_monotonicity(n, width, polys),
         *_check_identities(n, polys),
         _check_median_sweep(n, denom_max, seed, polys),
         _check_evaluation_consistency(n, denom_max, seed, polys),

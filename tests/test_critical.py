@@ -343,18 +343,18 @@ class TestMonotonicity:
     `isolate_root`'s enclosures."""
 
     def test_single_root_is_vacuous(self):
-        assert verify._check_monotonicity(1, DEFAULT_WIDTH) == (1, None)
+        assert verify._check_monotonicity(1, DEFAULT_WIDTH, polys_for(1)) == (1, None)
 
     def test_small_cases(self):
         for n in (2, 3, 6, 11):
-            assert verify._check_monotonicity(n, Fraction(1, 10**12)) == (1, None), n
+            assert verify._check_monotonicity(n, Fraction(1, 10**12), polys_for(n)) == (1, None), n
 
     def test_moderate_width_still_separates(self):
-        assert verify._check_monotonicity(2, Fraction(1, 100)) == (1, None)
+        assert verify._check_monotonicity(2, Fraction(1, 100), polys_for(2)) == (1, None)
 
     def test_unit_width_hits_refinement_cap(self):
         # width 1 stops at the level-2 cells [1/4, 1/2] and [1/2, 3/4]
-        assert verify._check_monotonicity(2, Fraction(1)) == (
+        assert verify._check_monotonicity(2, Fraction(1), polys_for(2)) == (
             1, "n=2 roots 1 and 2 of n=2 are not separated at width 1"
         )
 
@@ -364,9 +364,9 @@ class TestMonotonicity:
         calls = []
         isolate = verify.isolate_root
 
-        def counting(n, k, width):
+        def counting(n, k, width, *, poly):
             calls.append((n, k))
-            return isolate(n, k, width)
+            return isolate(n, k, width, poly=poly)
 
         monkeypatch.setattr(verify, "isolate_root", counting)
         monkeypatch.setattr(critical, "isolate_root", counting)
@@ -480,3 +480,96 @@ class TestCertify:
         assert inner["constant_coeff"] == "1"
         assert inner["sign_at_half"] == "1"
         assert inner["enclosure"]["type"] == "bracket"
+
+
+def outcome(fn):
+    """fn()'s value, or the text of the FalsificationError it raises."""
+    try:
+        return fn()
+    except FalsificationError as exc:
+        return f"FalsificationError: {exc}"
+
+
+#: Wrong lists as (n, {k: P_{n,k} from the real critical_poly}); q = x - x^2
+#: has q(1 - x) = q(x), so the mirror-consistent pair still reflects.
+WRONG_LISTS = {
+    "lost_endpoint_value_at_1": (3, {3: lambda real: IntPolynomial((1, 1))}),
+    "p_2_1_in_place_of_p_2_2": (2, {2: lambda real: real(2, 1)}),
+    "middle_root_moved_off_one_half": (
+        3, {2: lambda real: poly_add(real(3, 2), IntPolynomial((0, 1, -1)))}
+    ),
+    "mirror_consistent_pair": (
+        5,
+        {
+            2: lambda real: poly_add(real(5, 2), IntPolynomial((0, 1, -1))),
+            4: lambda real: poly_add(real(5, 4), IntPolynomial((0, -1, 1))),
+        },
+    ),
+}
+
+
+class TestGivenPolynomials:
+    """`isolate_root(..., poly=)` and `certify_range(..., polys=)`, the paths
+    the battery takes with its one list per n, against the paths that build."""
+
+    @pytest.mark.parametrize(
+        "width",
+        [Fraction(1, 7), Fraction(1, 10**6), DEFAULT_WIDTH, Fraction(1, 10**35)],
+        ids=["1/7", "1e-6", "default", "1e-35"],
+    )
+    def test_same_results_as_built(self, width):
+        for n in range(1, 41):
+            polys = polys_for(n)
+            for k in range(1, n + 1):
+                assert isolate_root(n, k, width, poly=polys[k - 1]) == isolate_root(n, k, width)
+            given = [cert.to_json_dict(30) for cert in certify_range(n, width, polys=polys)]
+            assert given == [cert.to_json_dict(30) for cert in certify_range(n, width)], n
+
+    def test_given_polynomials_are_not_built_again(self, monkeypatch):
+        polys = polys_for(7)
+
+        def forbidden(n, k):
+            raise AssertionError("critical_poly called")
+
+        monkeypatch.setattr(critical, "critical_poly", forbidden)
+        assert [isolate_root(7, k, poly=polys[k - 1]) for k in range(1, 8)]
+        assert [cert.to_json_dict() for cert in certify_range(7, polys=polys)]
+
+    @pytest.mark.parametrize("fault", sorted(WRONG_LISTS))
+    def test_wrong_list_fails_as_a_wrong_build(self, monkeypatch, fault):
+        n, wrong_at = WRONG_LISTS[fault]
+
+        def planted(m, j):
+            return wrong_at[j](critical_poly) if m == n and j in wrong_at else critical_poly(m, j)
+
+        width = Fraction(1, 10**6)
+        wrong = [planted(n, k) for k in range(1, n + 1)]
+        given = (
+            [
+                outcome(lambda: isolate_root(n, k, width, poly=wrong[k - 1]))
+                for k in range(1, n + 1)
+            ],
+            outcome(lambda: certify_range(n, width, polys=wrong)),
+        )
+        monkeypatch.setattr(critical, "critical_poly", planted)
+        built = (
+            [outcome(lambda: isolate_root(n, k, width)) for k in range(1, n + 1)],
+            outcome(lambda: certify_range(n, width)),
+        )
+        assert given == built
+        assert given[1].startswith("FalsificationError: ")
+
+    def test_rejects_bad_arguments(self):
+        polys = polys_for(3)
+        for wrong_length in ([], polys[:2], polys + polys[:1]):
+            with pytest.raises(ValueError, match="polys must hold the 3 polynomials"):
+                certify_range(3, polys=wrong_length)
+        with pytest.raises(ValueError):
+            certify_range(0, polys=[])
+        with pytest.raises(ValueError):
+            certify_range(3, Fraction(0), polys=polys)
+        for n, k in ((0, 1), (3, 0), (3, 4)):
+            with pytest.raises(ValueError):
+                isolate_root(n, k, poly=polys[0])
+        with pytest.raises(ValueError):
+            isolate_root(3, 1, Fraction(0), poly=polys[0])

@@ -28,17 +28,15 @@ def failures(n_max):
 
 
 def plant(monkeypatch, added):
-    """Add added[(n, k)] to P_{n,k} in every namespace the battery reads
-    `critical_poly` from: `critical` for certificates and root isolation,
-    `verify` for the per-n list the identity and consistency checks read."""
+    """Add added[(n, k)] to P_{n,k} at `critical.critical_poly`, the one name
+    the battery's per-n list and the printing paths build from."""
     real = critical.critical_poly
 
     def planted(m, j):
         poly = real(m, j)
         return poly_add(poly, added[m, j]) if (m, j) in added else poly
 
-    for module in (critical, verify):
-        monkeypatch.setattr(module, "critical_poly", planted)
+    monkeypatch.setattr(critical, "critical_poly", planted)
 
 
 def perturb(monkeypatch, n, k):
@@ -48,7 +46,7 @@ def perturb(monkeypatch, n, k):
 
 def replace_poly(replace):
     """A plant that reads P_{n,k} as replace(real critical_poly, n, k) in
-    `critical`, where certificates and root isolation build it."""
+    `critical`, where the battery's list and the printing paths build it."""
 
     def install(monkeypatch):
         real = critical.critical_poly
@@ -144,14 +142,16 @@ class TestVerifyTheorem:
         # at width 1/7 some upper-half brackets start at 1/2 itself; the sign
         # at 1/2, not the bracket, puts those roots above 1/2
         for n in range(1, 13):
-            assert verify._check_certificates(n, Fraction(1, 7)) == (n, None), n
+            polys = verify._critical_polys(n)
+            assert verify._check_certificates(n, Fraction(1, 7), polys) == (n, None), n
 
     def test_certificates_check_reads_no_enclosure(self, monkeypatch):
         # the check rests on exact facts: a sign kernel that never settles
         # would hit the step cap on the first bisection
         monkeypatch.setattr(critical, "_sign_at", lambda poly, m, t: 1)
         for n in range(1, 13):
-            assert verify._check_certificates(n, Fraction(1, 10**35)) == (n, None), n
+            polys = verify._critical_polys(n)
+            assert verify._check_certificates(n, Fraction(1, 10**35), polys) == (n, None), n
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -211,7 +211,7 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             critical, "critical_poly", lambda n, k: real(*swap.get((n, k), (n, k)))
         )
-        _, message = verify._check_monotonicity(6, DEFAULT_WIDTH)
+        _, message = verify._check_monotonicity(6, DEFAULT_WIDTH, verify._critical_polys(6))
         assert message.startswith("n=6 roots 4 and 5 of n=6 ")
         bad = failures(7)
         assert bad["monotonicity"].startswith("n=6 roots 4 and 5 of n=6 ")
@@ -222,8 +222,8 @@ class TestPlantedFaults:
         # certificate claims a negative sign
         real = critical.certify_range
 
-        def planted(n, width):
-            certs = real(n, width)
+        def planted(n, width, *, polys):
+            certs = real(n, width, polys=polys)
             if n == 4:
                 status = dataclasses.replace(certs[2].status, sign_at_half=-1)
                 certs[2] = dataclasses.replace(certs[2], status=status)
@@ -288,7 +288,6 @@ class TestPlantedFaults:
             return poly_add(poly, IntPolynomial((0, 1))) if (n, k) == (4, 2) else poly
 
         monkeypatch.setattr(critical, "critical_poly", planted)
-        monkeypatch.setattr(verify, "critical_poly", planted)
         assert failures(5) == {
             "certificates": "n=4 certificate construction failed: "
             "reflection identity failed for (n=4, i=2)",
@@ -300,26 +299,30 @@ class TestPlantedFaults:
         }
 
     def test_evaluation_consistency_sees_a_planted_polynomial(self, monkeypatch):
-        # `verify` imports `critical_poly` by name, so the plant goes into its
-        # namespace only: the per-n list the identity and consistency checks
-        # share; the first n = 2 draw at seed 0 is k = 2, p = 2/5
+        # the per-n list every check reads; the first n = 2 draw at seed 0 is
+        # k = 2, p = 2/5
         real = critical.critical_poly
 
-        def plant_in_verify(replace):
-            monkeypatch.setattr(
-                verify, "critical_poly", lambda n, k: replace(n, k) if (n, k) == (2, 2) else real(n, k)
-            )
+        def plant_at_2_2(replace):
+            def planted(n, k):
+                return replace(n, k) if (n, k) == (2, 2) else real(n, k)
 
-        plant_in_verify(lambda n, k: poly_add(real(n, k), IntPolynomial((0, 1, -1))))
+            monkeypatch.setattr(critical, "critical_poly", planted)
+
+        plant_at_2_2(lambda n, k: poly_add(real(n, k), IntPolynomial((0, 1, -1))))
         assert failures(3) == {
+            "certificates": "n=2 certificate construction failed: "
+            "reflection identity failed for (n=2, i=1)",
             "symmetry_identity": "n=2 i=1 reflection identity failed",
             "derivative_identity": "n=2 j=1 derivative identity failed",
             "median_sweep": "n=2 p=3/4 median 2 contradicted by P_{2,2}(3/4) > 0",
             "evaluation_consistency": "n=2 k=2 p=2/5 polynomial value 23/25 != CDF value 17/25",
         }
         # a polynomial of lower degree than n: 1 - 2x at 2/5
-        plant_in_verify(lambda n, k: IntPolynomial((1, -2)))
+        plant_at_2_2(lambda n, k: IntPolynomial((1, -2)))
         assert failures(3) == {
+            "certificates": "n=2 certificate construction failed: "
+            "P(1/2) is not positive for (n=2, k=2) above the middle index",
             "symmetry_identity": "n=2 i=1 reflection identity failed",
             "derivative_identity": "n=2 j=1 derivative identity failed",
             "median_sweep": "n=2 p=1/2 median 1 contradicted by P_{2,2}(1/2) = 0",
@@ -359,7 +362,8 @@ class TestCoarseOrdering:
     @pytest.mark.parametrize("width", ORDERING_WIDTHS)
     def test_same_verdict_as_the_fine_check(self, width):
         for n in range(1, 41):
-            assert verify._check_monotonicity(n, width) == fine_monotonicity(n, width), n
+            polys = verify._critical_polys(n)
+            assert verify._check_monotonicity(n, width, polys) == fine_monotonicity(n, width), n
 
     @pytest.mark.parametrize("fault", sorted(ORDERING_FAULTS))
     def test_same_verdict_under_planted_faults(self, monkeypatch, fault):
@@ -367,7 +371,7 @@ class TestCoarseOrdering:
         verdicts = []
         for width in ORDERING_WIDTHS:
             for n in range(1, 8):
-                verdict = verify._check_monotonicity(n, width)
+                verdict = verify._check_monotonicity(n, width, verify._critical_polys(n))
                 assert verdict == fine_monotonicity(n, width), (n, width)
                 verdicts.append(verdict[1])
         assert any(verdicts), "the fault planted nothing the check sees"
@@ -389,15 +393,15 @@ class TestCoarseOrdering:
         widths = []
         real = verify.isolate_root
 
-        def counted(n, k, width):
+        def counted(n, k, width, *, poly):
             widths.append(width)
-            return real(n, k, width)
+            return real(n, k, width, poly=poly)
 
         monkeypatch.setattr(verify, "isolate_root", counted)
 
         def cost(n, width):
             widths.clear()
-            passed = verify._check_monotonicity(n, width)[1] is None
+            passed = verify._check_monotonicity(n, width, verify._critical_polys(n))[1] is None
             return passed, len(widths)
 
         # a passing n costs one pass, also when the requested width is coarser
@@ -415,9 +419,8 @@ class TestCoarseOrdering:
 
 class TestIdentityWork:
     def test_each_polynomial_built_once_per_check_pass(self, monkeypatch):
-        # per n: certificates and root isolation build P_{n,1..n} once each,
-        # and the identity and consistency checks share one more list; the
-        # walk builds no polynomial
+        # per n, one list P_{n,1..n} serves every check: certificates and root
+        # isolation take it as given, and the walk builds no polynomial
         calls = []
         real = critical._cdf_coeffs
 
@@ -427,7 +430,13 @@ class TestIdentityWork:
 
         monkeypatch.setattr(critical, "_cdf_coeffs", counted)
         assert verify_theorem(28, denom_max=200, seed=7).passed
-        assert len(calls) <= 1218
+        assert len(calls) == 406 == sum(range(1, 29))
+        assert len(set(calls)) == len(calls)
+
+    def test_battery_has_no_name_of_its_own_for_critical_poly(self):
+        # a plant at `critical.critical_poly` reaches the battery's list only
+        # while `verify` builds it through that name
+        assert not hasattr(verify, "critical_poly")
 
 
 class TestMcMedianCheck:
