@@ -267,11 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="run the full theorem battery up to n-max",
-        description="Cost, measured: grows about like n-max^3 "
-        "(n-max 80 to 320). About half is the monotonicity check's root "
-        "isolation at a coarse width, four Horner passes per root; the "
-        "certificates and the identity walk take about a sixth each, and "
-        "building each n's polynomials, once for all checks, about a tenth.",
+        description="Cost, measured: grows about like n-max^2.8 "
+        "(n-max 80 to 320). The monotonicity check's root isolation at a "
+        "coarse width, two signs next to Kerman's start per root, the "
+        "certificates and the identity walk take about a quarter each; "
+        "building each n's polynomials, once for all checks, about a sixth, "
+        "and the median sweep about a tenth.",
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--denom-max", type=int, default=200)

@@ -9,7 +9,11 @@ sign is fixed-point Horner at about t + log2(n) bits for m / 2^t under an
 absolute error bound, exact only where that bound cannot tell (`_sign_at`).
 Halley steps from Kerman's start (Kerman 2011) put bisection straight onto
 its final dyadic cell: at 35 digits, 4 Horner passes reach it and 2 signs
-prove it, where bisection alone takes about 117 signs.
+prove it, where bisection alone takes about 117 signs.  At coarse levels,
+cells 2^-t with t <= bit_length(n) + 4 and so at least 1/(32n) wide, the
+start itself is within one cell of the root: n |p - start| is largest at
+k = 1 and k = n, where it tends to ln 2 - 2/3 ~ 0.0265.  There two signs
+next to it, three at most, find and prove the cell with no Halley step.
 Its coefficients come from the closed form (derived in `_cdf_coeffs`)
 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
 coefficient is 1 by construction.
@@ -325,6 +329,38 @@ def _halley_step(
     return m + d - _quotient(d_cut * u << 2 * a, den, guard)
 
 
+def _kerman_start(n: int, k: int, t: int) -> int:
+    """floor(2^t (3k - 1)/(3n + 1)): Kerman's start (k - 1/3)/(n + 1/3), the
+    median of Beta(k, n-k+1), on the level-t grid."""
+    return ((3 * k - 1) << t) // (3 * n + 1)
+
+
+def _kerman_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
+    """The level-t cell [lo, lo + 1] / 2^t holding the root of P = `poly`, as
+    lo, proved from signs at and next to Kerman's start m, or None.
+
+    P(m) > 0 > P(m+1) proves cell m, P(m-1) > 0 > P(m) cell m-1, and
+    P(m+1) > 0 > P(m+2) cell m+1: two signs, three for the last.  A start
+    within 2^-t of the root puts it in one of these three cells.  Anything
+    else, a zero included, gives None.  The odd middle root is Kerman's start
+    1/2 itself, bisection's first midpoint, so it gives None unasked.  Since
+    P(0) = 1 and P(1) = -1, every point asked lies in [0, 2^t].
+    """
+    if 2 * k == n + 1:
+        return None
+    m = _kerman_start(n, k, t)
+    here = _sign_at(poly, m, t)
+    if here < 0:
+        return m - 1 if _sign_at(poly, m - 1, t) > 0 else None
+    if here > 0:
+        right = _sign_at(poly, m + 1, t)
+        if right < 0:
+            return m
+        if right > 0 and _sign_at(poly, m + 2, t) < 0:
+            return m + 1
+    return None
+
+
 def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     """The Newton-type start's guess lo for the level-t cell [lo, lo + 1] / 2^t
     holding the root of P = `poly`, or None if it hits an exact (rational) root.
@@ -343,7 +379,7 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     while precisions[-1] > 3 * guard:
         precisions.append(precisions[-1] // 3 + guard)
     s = precisions[-1]
-    m = ((3 * k - 1) << s) // (3 * n + 1)
+    m = _kerman_start(n, k, s)
     scale = (2 * n * binomial_coeff(n - 1, k - 1)) << guard
     for p in [s] + precisions[::-1]:
         m, s = min(max(m << (p - s), 1), (1 << p) - 1), p
@@ -364,16 +400,25 @@ def _bisect(poly: IntPolynomial, n: int, k: int, width: Fraction) -> RootEnclosu
     cell that keeps sliding to 0 or 1) into FalsificationError instead of
     an endless loop.
 
-    Bisection starts at level t = steps from `_newton_cell`'s guess once two
-    signs prove P(lo / 2^t) > 0 > P((lo + 1) / 2^t).  Same bytes: P is
-    strictly decreasing, so the root is inside the open cell and no multiple
-    of 2^-t is a zero; every midpoint up to level t is such a multiple and no
-    stop condition holds below level t, so bisection reaches this very cell.
+    Bisection starts at level t = steps from a cell that two signs prove,
+    P(lo / 2^t) > 0 > P((lo + 1) / 2^t).  Same bytes: P is strictly
+    decreasing, so the root is inside the open cell and no multiple of 2^-t
+    is a zero; every midpoint up to level t is such a multiple and no stop
+    condition holds below level t, so bisection reaches this very cell.
+    The cell comes from `_kerman_cell` where steps <= bit_length(n) + 4, a
+    cell at least 1/(32n) wide against Kerman's start's error of at most
+    about 0.0265/n (the limit at k = 1), and from `_newton_cell`'s guess
+    beyond.  The signs alone prove it; the bound only says how fast it is
+    found.  Where they prove none, bisection starts from [0, 1].
     """
     steps = _steps_for(width)
-    lo, t = _newton_cell(poly, n, k, steps), steps
-    if lo is None or not _sign_at(poly, lo, t) > 0 > _sign_at(poly, lo + 1, t):
-        lo, t = 0, 0
+    if steps <= n.bit_length() + 4:
+        lo = _kerman_cell(poly, n, k, steps)
+    else:
+        lo = _newton_cell(poly, n, k, steps)
+        if lo is not None and not _sign_at(poly, lo, steps) > 0 > _sign_at(poly, lo + 1, steps):
+            lo = None
+    lo, t = (0, 0) if lo is None else (lo, steps)
     while not (t >= steps and 0 < lo and lo + 1 < 1 << t):
         if t >= 4 * steps + 256:
             raise FalsificationError(

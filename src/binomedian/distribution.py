@@ -48,9 +48,13 @@ class BinomialParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ParameterError(f"n must be a nonnegative integer, got {self.n!r}")
-        object.__setattr__(self, "p", as_exact(self.p))
-        if not 0 <= self.p <= 1:
-            raise ParameterError(f"p must lie in [0, 1], got {self.p}")
+        p = self.p
+        if type(p) is not Fraction:  # an exact Fraction is kept as it is
+            p = as_exact(p)
+            object.__setattr__(self, "p", p)
+        # on the lowest-terms ints: two Fraction comparisons cost more than the rest
+        if not 0 <= p.numerator <= p.denominator:
+            raise ParameterError(f"p must lie in [0, 1], got {p}")
 
 
 def binomial_weights(n: int, a: int, c: int) -> Iterator[int]:

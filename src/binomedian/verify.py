@@ -188,7 +188,10 @@ def _check_monotonicity(
     are too.  Only when the coarse pass fails, by an overlap or a
     FalsificationError, does the check isolate every root again at `width`
     and report from that pass, so a failure reads as it would at `width`
-    alone.  A passing n costs n `isolate_root` calls.
+    alone.  A passing n costs n `isolate_root` calls.  At the coarse width
+    each is two signs next to Kerman's start, three at most, and no Halley
+    step: a cell there is at least 1/(32n) wide, and the start lies within
+    about 0.0265/n of the root (the limit at k = 1 and k = n).
     """
     if n == 1:
         return 1, None

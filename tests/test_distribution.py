@@ -43,6 +43,28 @@ class TestParams:
         with pytest.raises(TypeError):
             BinomialParams(3, 0.5)
 
+    def test_keeps_a_fraction_as_it_is(self):
+        p = Fraction(2, 7)
+        assert BinomialParams(3, p).p is p
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_int_probability_becomes_a_fraction(self, p):
+        params = BinomialParams(3, p)
+        assert type(params.p) is Fraction and params.p == p
+
+    @pytest.mark.parametrize("p", [True, False, 1.0])
+    def test_rejects_bool_and_float_probability(self, p):
+        with pytest.raises(TypeError, match=f"exact rational .* got {type(p).__name__}"):
+            BinomialParams(3, p)
+
+    @pytest.mark.parametrize(
+        "p, shown",
+        [(Fraction(-1, 2), "-1/2"), (-1, "-1"), (Fraction(3, 2), "3/2"), (2, "2")],
+    )
+    def test_out_of_range_message(self, p, shown):
+        with pytest.raises(ParameterError, match=rf"^p must lie in \[0, 1\], got {shown}$"):
+            BinomialParams(3, p)
+
 
 class TestPmf:
     def test_all_failures(self):

@@ -1,12 +1,15 @@
-"""`isolate_root` starts bisection from `_newton_cell`'s level-t cell.
+"""`isolate_root` starts bisection from a proved level-t cell: at coarse
+levels `_kerman_cell`'s, found from signs next to Kerman's start, and beyond
+them `_newton_cell`'s.
 
 The start must not change a single enclosure: every result is compared
 with `bisection_enclose`, plain bisection from [0, 1].
 The sign-count guard makes a silent slide back to full bisection fail
-without any timing, and the Horner-pass guard does the same for a slide
-back to a slower start.
+without any timing, and the Horner-pass and Halley-step guards do the same
+for a slide back to a slower start.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from binomedian import cli, critical
 from binomedian.critical import Bracket, ExactRoot, isolate_root
+from binomedian.polynomial import IntPolynomial
 from binomedian.rational import binomial_coeff
 from helpers import HALF, bisection_enclose, fraction_steps_for
 
@@ -36,6 +40,20 @@ def sign_count(monkeypatch):
         return sign_at(poly, m, t)
 
     monkeypatch.setattr(critical, "_sign_at", counting)
+    return count
+
+
+@pytest.fixture
+def halley_count(monkeypatch):
+    """A one-element list counting every `critical._halley_step` call."""
+    count = [0]
+    halley_step = critical._halley_step
+
+    def counting(*args):
+        count[0] += 1
+        return halley_step(*args)
+
+    monkeypatch.setattr(critical, "_halley_step", counting)
     return count
 
 
@@ -69,6 +87,34 @@ def assert_cells_proved(ns, digit_values):
                 assert lo is not None, (n, k, digits)
                 signs = critical._sign_at(poly, lo, t), critical._sign_at(poly, lo + 1, t)
                 assert signs == (1, -1), (n, k, digits)
+
+
+def coarse_width(n, extra=4):
+    """2^-(bit_length(n) + extra); at extra = 4 the ordering check's width."""
+    return Fraction(1, 1 << (n.bit_length() + extra))
+
+
+def half_margin(n, k, j, t):
+    """2 B(k-1; n, j / 2^t) - 1 in floating point, from the shorter tail, for
+    0 < j < 2^t and n <= 2048 where that tail's first term w_0 is a normal float.
+
+    w_0 = c^n / 2^(tn) is one correctly rounded division of exact ints, and
+    each recurrence step w_{i+1} = w_i (n-i) a / ((i+1) c) multiplies and
+    divides by ints below 2^53, so after the sum of at most n positive terms
+    the relative error is below 3n 2^-53 < 10^-12.  A margin beyond 10^-9
+    therefore has the sign of the exact value.
+    """
+    a, c = j, (1 << t) - j
+    if k - 1 > n - k:
+        # B(k-1; n, x) = 1 - B(n-k; n, 1-x)
+        return -half_margin(n, n - k + 1, c, t)
+    w = c**n / (1 << (t * n))
+    assert w >= sys.float_info.min, (n, k, j, t)
+    total = w
+    for i in range(k - 1):
+        w = w * ((n - i) * a) / ((i + 1) * c)
+        total += w
+    return 2 * total - 1
 
 
 def step_args(n, k, s):
@@ -248,3 +294,94 @@ def test_sign_evaluations_per_root_stay_low(sign_count):
                 worst = max(worst, sign_count[0])
                 assert sign_count[0] <= 16, (n, k, sign_count[0])
     assert worst > 0
+
+
+# ---------------------------------------------------------------------------
+# coarse levels: the cell from signs next to Kerman's start
+
+
+def test_coarse_cells_match_bisection_oracle():
+    # the ordering check's width, where every root goes through `_kerman_cell`
+    for n in range(1, 201):
+        width = coarse_width(n)
+        for k in range(1, n + 1):
+            assert isolate_root(n, k, width) == bisection_enclose(n, k, width), (n, k)
+
+
+@pytest.mark.parametrize(
+    "width_for",
+    [lambda n: Fraction(1, 2), lambda n: Fraction(1, 7), lambda n: coarse_width(n, 3)],
+    ids=["1/2", "1/7", "2^-(bitlen+3)"],
+)
+def test_coarse_cells_match_bisection_oracle_at_other_widths(width_for):
+    # at 1/2 and 1/7 the start's cell touches 0, 1/2 or 1 for some roots, and
+    # bisection goes on below it
+    for n in range(1, 41):
+        width = width_for(n)
+        assert critical._steps_for(width) <= n.bit_length() + 4
+        for k in range(1, n + 1):
+            assert isolate_root(n, k, width) == bisection_enclose(n, k, width), (n, k)
+
+
+def kerman_within_one_cell(n, k):
+    """Kerman's start on the ordering check's level lies within one cell of
+    the root: P_{n,k} is positive one cell below the start's cell m and
+    negative two cells above it, so the root's cell is m - 1, m or m + 1."""
+    t = n.bit_length() + 4
+    m = critical._kerman_start(n, k, t)
+    return half_margin(n, k, m - 1, t) > 1e-9 and half_margin(n, k, m + 2, t) < -1e-9
+
+
+def test_kerman_start_within_one_cell_of_every_root():
+    for n in range(1, 401):
+        for k in range(1, n + 1):
+            assert kerman_within_one_cell(n, k), (n, k)
+
+
+def test_kerman_start_within_one_cell_at_the_extreme_indices():
+    # n |p - start| is largest at k = 1 and k = n, tending to ln 2 - 2/3
+    for n in range(1, 2049):
+        for k in {1, min(2, n), max(n - 1, 1), n}:
+            assert kerman_within_one_cell(n, k), (n, k)
+
+
+def test_coarse_roots_take_at_most_three_signs_and_no_halley_step(sign_count, halley_count):
+    # two signs prove the cell next to the start, a third where it is one
+    # above; the odd middle is bisection's first sign; a fallback to
+    # bisection would take bit_length(n) + 4 signs or more
+    for n in range(1, 301):
+        width = coarse_width(n)
+        for k in range(1, n + 1):
+            sign_count[0] = 0
+            enclosure = isolate_root(n, k, width)
+            assert sign_count[0] <= (1 if 2 * k == n + 1 else 3), (n, k, sign_count[0])
+            if 2 * k == n + 1:
+                assert enclosure == ExactRoot(HALF), n
+    assert halley_count[0] == 0
+
+
+@pytest.mark.parametrize("width_for", [lambda n: Fraction(1, 2), lambda n: Fraction(1, 7), coarse_width])
+def test_zero_next_to_the_start_is_left_to_bisection(width_for):
+    # P = 1 - 2x passes the endpoint check for every (n, k), and 1/2 is the
+    # only dyadic zero such a polynomial can have (its rational roots are
+    # 1/r, and P(1) = -1 rules out every r but 2).  At width 1/7, for
+    # example, 1/2 is the grid point below the start's cell for (2, 2) and
+    # that cell's upper end for (4, 2): no cell ending at a zero is proved
+    poly = IntPolynomial((1, -2))
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            assert isolate_root(n, k, width_for(n), poly=poly) == ExactRoot(HALF), (n, k)
+
+
+@pytest.mark.parametrize("offset", [-2, 2])
+def test_start_two_cells_off_is_rejected_by_the_signs(monkeypatch, sign_count, offset):
+    for n, k in [(2, 2), (10, 3), (40, 27), (300, 1), (300, 300)]:
+        width = coarse_width(n)
+        steps = critical._steps_for(width)
+        want = bisection_enclose(n, k, width)
+        start = int(want.lo * (1 << steps)) + offset
+        monkeypatch.setattr(critical, "_kerman_start", lambda *args: start)
+        sign_count[0] = 0
+        assert isolate_root(n, k, width) == want, (n, k)
+        # rejected after two or three signs, then the full bisection ran
+        assert sign_count[0] >= steps + 2, (n, k)
