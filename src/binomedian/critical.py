@@ -6,15 +6,15 @@ B(n, p) degenerates to the interval [k-1, k].  Clearing denominators turns
 that condition into an integer polynomial with value +1 at p = 0 and -1 at
 p = 1, so bisection with rigorous signs yields certified enclosures.  Each
 sign is fixed-point Horner at about t + log2(n) bits for m / 2^t under an
-absolute error bound, exact only where that bound cannot tell (`_sign_at`).
-Halley steps from Kerman's start (Kerman 2011) put bisection straight onto
-its final dyadic cell: at 35 digits, 4 Horner passes reach it and 2 signs
-prove it, where bisection alone takes about 117 signs.  At coarse levels,
-cells 2^-t with t <= bit_length(n) + 4 and so at least 1/(32n) wide, the
-start itself is within one cell of the root: n |p - start| is largest at
-k = 1 and k = n, where it tends to ln 2 - 2/3 ~ 0.0265.  There two signs
-next to it, three at most, find and prove the cell with no Halley step.
-Its coefficients come from the closed form (derived in `_cdf_coeffs`)
+absolute error bound, exact only where that bound cannot tell (`_sign_at`,
+root isolation's one exact evaluation).  The odd middle's root 1/2 is
+bisection's first midpoint.  Every other root starts from a point m on its
+final dyadic level: Kerman's start (Kerman 2011) up to `_coarse_level`,
+where it lies within one cell of the root, and Halley steps from it beyond.
+Signs at m and next to it, three at most, prove the cell (`_proved_cell`):
+at 35 digits 4 Horner passes reach it and 2 signs prove it, where bisection
+alone takes about 117 signs.  The polynomial's coefficients come from the
+closed form (derived in `_cdf_coeffs`)
 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
 coefficient is 1 by construction.
 
@@ -290,10 +290,9 @@ def _quotient(a: int, b: int, guard: int) -> int:
 
 def _halley_step(
     poly: IntPolynomial, n: int, k: int, m: int, s: int, guard: int, scale: int
-) -> int | None:
+) -> int:
     """m plus Halley's increment toward the root of P = `poly` from x = m / 2^s,
-    0 < m < 2^s, or None where P(m / 2^s) is exactly zero; `scale` is
-    2n C(n-1,k-1) 2^guard.
+    0 < m < 2^s; `scale` is 2n C(n-1,k-1) 2^guard.
 
     With y = 2^s - m and D = 2n C(n-1,k-1) m^(k-1) y^(n-k), P'(x) = -D / 2^(s*(n-1)),
     and V = `_horner_floor` at q = s + guard bits, Newton's increment is
@@ -301,16 +300,13 @@ def _halley_step(
     constant, so P''/P' = (k-1)/x - (n-k)/(1-x), and Halley's increment
     d / (1 + d P''/(2 P')) is d 2my / (2my + d c) = d - d^2 c / (2my + d c) with
     c = (k-1) y - (n-k) m: no further evaluation.  Where 2my + d c is not
-    positive, the step is Newton's d.  Where V cannot tell P's sign, the exact
-    `scaled_value` decides whether P is zero.
+    positive, the step is Newton's d.
 
     From `_CUT_BITS` on, d comes from `_quotient`, and the correction
     d^2 c / (2my + d c), about 2 bits(d) - s bits long, from d, m and y cut to
     that many bits plus 2 guard: each is then off by a few units of 2^-s.
     """
     value = _horner_floor(poly, m, s, s + guard)
-    if not (value > 0 or value + n <= 0) and poly.scaled_value(m, 1 << s) == 0:
-        return None
     y = (1 << s) - m
     num, den = value << s * (n - 1), scale * m ** (k - 1) * y ** (n - k)
     if s < _CUT_BITS:
@@ -335,20 +331,24 @@ def _kerman_start(n: int, k: int, t: int) -> int:
     return ((3 * k - 1) << t) // (3 * n + 1)
 
 
-def _kerman_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
+def _coarse_level(n: int) -> int:
+    """bit_length(n) + 4: the deepest level t at which `_kerman_start` needs
+    no Halley step.  A cell 2^-t is then at least 1/(32n) wide, and n |p - start|
+    is largest at k = 1 and k = n, where it tends to ln 2 - 2/3 ~ 0.0265, so
+    the start lies within one cell of the root."""
+    return n.bit_length() + 4
+
+
+def _proved_cell(poly: IntPolynomial, m: int, t: int) -> int | None:
     """The level-t cell [lo, lo + 1] / 2^t holding the root of P = `poly`, as
-    lo, proved from signs at and next to Kerman's start m, or None.
+    lo, proved from signs at and next to the start m in [0, 2^t), or None.
 
     P(m) > 0 > P(m+1) proves cell m, P(m-1) > 0 > P(m) cell m-1, and
     P(m+1) > 0 > P(m+2) cell m+1: two signs, three for the last.  A start
-    within 2^-t of the root puts it in one of these three cells.  Anything
-    else, a zero included, gives None.  The odd middle root is Kerman's start
-    1/2 itself, bisection's first midpoint, so it gives None unasked.  Since
-    P(0) = 1 and P(1) = -1, every point asked lies in [0, 2^t].
+    within one cell of the root puts it in one of these three cells.
+    Anything else, a zero included, gives None.  Since P(0) = 1 and
+    P(1) = -1, every point asked lies in [0, 2^t].
     """
-    if 2 * k == n + 1:
-        return None
-    m = _kerman_start(n, k, t)
     here = _sign_at(poly, m, t)
     if here < 0:
         return m - 1 if _sign_at(poly, m - 1, t) > 0 else None
@@ -361,9 +361,9 @@ def _kerman_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     return None
 
 
-def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
+def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int:
     """The Newton-type start's guess lo for the level-t cell [lo, lo + 1] / 2^t
-    holding the root of P = `poly`, or None if it hits an exact (rational) root.
+    holding the root of P = `poly`, clamped to [0, 2^t - 1].
 
     Integer `_halley_step`s at scale 2^s from Kerman's start (k - 1/3)/(n + 1/3),
     the median of Beta(k, n-k+1), with m clamped to [1, 2^s - 1].  One step
@@ -384,8 +384,6 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int | None:
     for p in [s] + precisions[::-1]:
         m, s = min(max(m << (p - s), 1), (1 << p) - 1), p
         m = _halley_step(poly, n, k, m, s, guard, scale)
-        if m is None:
-            return None
     return min(max(m >> (s - t), 0), (1 << t) - 1)
 
 
@@ -400,24 +398,24 @@ def _bisect(poly: IntPolynomial, n: int, k: int, width: Fraction) -> RootEnclosu
     cell that keeps sliding to 0 or 1) into FalsificationError instead of
     an endless loop.
 
-    Bisection starts at level t = steps from a cell that two signs prove,
-    P(lo / 2^t) > 0 > P((lo + 1) / 2^t).  Same bytes: P is strictly
-    decreasing, so the root is inside the open cell and no multiple of 2^-t
-    is a zero; every midpoint up to level t is such a multiple and no stop
-    condition holds below level t, so bisection reaches this very cell.
-    The cell comes from `_kerman_cell` where steps <= bit_length(n) + 4, a
-    cell at least 1/(32n) wide against Kerman's start's error of at most
-    about 0.0265/n (the limit at k = 1), and from `_newton_cell`'s guess
-    beyond.  The signs alone prove it; the bound only says how fast it is
-    found.  Where they prove none, bisection starts from [0, 1].
+    Bisection starts at level t = steps from the cell `_proved_cell` proves
+    next to a start m: `_kerman_start` up to `_coarse_level(n)`, where it is
+    within one cell of the root, and `_newton_cell`'s guess beyond.  Same
+    bytes: P is strictly decreasing, so the root is inside the open cell and
+    no multiple of 2^-t is a zero; every midpoint up to level t is such a
+    multiple and no stop condition holds below level t, so bisection reaches
+    this very cell.  The signs alone prove it; the start only says how fast
+    it is found.  Where they prove none, and at the odd middle, whose root
+    1/2 is bisection's first midpoint, bisection starts from [0, 1].
     """
     steps = _steps_for(width)
-    if steps <= n.bit_length() + 4:
-        lo = _kerman_cell(poly, n, k, steps)
-    else:
-        lo = _newton_cell(poly, n, k, steps)
-        if lo is not None and not _sign_at(poly, lo, steps) > 0 > _sign_at(poly, lo + 1, steps):
-            lo = None
+    lo = None
+    if 2 * k != n + 1:
+        if steps <= _coarse_level(n):
+            m = _kerman_start(n, k, steps)
+        else:
+            m = _newton_cell(poly, n, k, steps)
+        lo = _proved_cell(poly, m, steps)
     lo, t = (0, 0) if lo is None else (lo, steps)
     while not (t >= steps and 0 < lo and lo + 1 < 1 << t):
         if t >= 4 * steps + 256:

@@ -177,9 +177,9 @@ def _check_monotonicity(
     P_{n,k} = polys[k-1], and every adjacent pair disjoint and ascending.
     n = 1 has nothing to compare.
 
-    The enclosures are first taken at the coarse width
-    max(width, 2^-(bit_length(n) + 4)), at most 1/(16n), against root gaps
-    of about 1/(n + 1).  That verdict is the one at `width`, because the
+    The enclosures are first taken at the coarse width max(width, 2^-L),
+    L = `critical._coarse_level(n)`, at most 1/(16n), against root gaps of
+    about 1/(n + 1).  That verdict is the one at `width`, because the
     enclosures nest: an irrational root's enclosure at any width is the
     dyadic level-t cell that holds it, t the least level at or past the
     width's steps with both ends interior, so the finer width's cell lies
@@ -190,12 +190,11 @@ def _check_monotonicity(
     and report from that pass, so a failure reads as it would at `width`
     alone.  A passing n costs n `isolate_root` calls.  At the coarse width
     each is two signs next to Kerman's start, three at most, and no Halley
-    step: a cell there is at least 1/(32n) wide, and the start lies within
-    about 0.0265/n of the root (the limit at k = 1 and k = n).
+    step.
     """
     if n == 1:
         return 1, None
-    coarse = max(width, Fraction(1, 1 << (n.bit_length() + 4)))
+    coarse = max(width, Fraction(1, 1 << critical._coarse_level(n)))
     for w in dict.fromkeys((coarse, width)):  # one pass where width is the coarse one
         try:
             intervals = [

@@ -312,10 +312,24 @@ def fraction_steps_for(width: Fraction) -> int:
     return max(ceil_inv - 1, 0).bit_length()
 
 
-def bisection_enclose(n: int, k: int, width: Fraction):
-    """`isolate_root` without its Newton start: plain bisection from
-    [0, 1], with the same stop conditions and step cap."""
-    poly = _checked_poly(n, k)
+def dyadic_value(poly, m: int, t: int) -> int:
+    """2^(t*d) P(m / 2^t) for P = `poly` of degree d >= 0, exactly, with no
+    help from the library's kernels.  It is `scaled_value`'s homogenised
+    Horner sum c_j m^j den^(d-j) with den = 2^t, so each den^(d-j) is a
+    shift by t*(d-j) bits."""
+    coeffs = poly.coeffs
+    d = len(coeffs) - 1
+    value = coeffs[-1]
+    for j in range(d - 1, -1, -1):
+        value = value * m + (coeffs[j] << t * (d - j))
+    return value
+
+
+def bisection_enclose(n: int, k: int, width: Fraction, poly=None):
+    """`isolate_root` without its start: plain bisection from [0, 1], with
+    the same stop conditions and step cap, on `poly` where it is given and
+    else on critical_poly(n, k)."""
+    poly = _checked_poly(n, k, poly)
     steps = fraction_steps_for(width)
     lo, t = 0, 0
     while not (t >= steps and 0 < lo and lo + 1 < 1 << t):
@@ -325,7 +339,7 @@ def bisection_enclose(n: int, k: int, width: Fraction):
             )
         t += 1
         mid = 2 * lo + 1
-        sign = poly.scaled_value(mid, 1 << t)
+        sign = dyadic_value(poly, mid, t)
         if sign == 0:
             return ExactRoot(Fraction(mid, 1 << t))
         lo = mid if sign > 0 else 2 * lo

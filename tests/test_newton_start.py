@@ -1,12 +1,13 @@
-"""`isolate_root` starts bisection from a proved level-t cell: at coarse
-levels `_kerman_cell`'s, found from signs next to Kerman's start, and beyond
-them `_newton_cell`'s.
+"""`isolate_root` starts bisection from the level-t cell `_proved_cell`
+proves next to a start: Kerman's start at coarse levels, `_newton_cell`'s
+guess beyond them, and none at the odd middle, whose root 1/2 is
+bisection's first midpoint.
 
 The start must not change a single enclosure: every result is compared
 with `bisection_enclose`, plain bisection from [0, 1].
 The sign-count guard makes a silent slide back to full bisection fail
-without any timing, and the Horner-pass and Halley-step guards do the same
-for a slide back to a slower start.
+without any timing, and the Horner-pass, Halley-step and exact-evaluation
+guards do the same for a slide back to a slower start.
 """
 
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomedian import cli, critical
+from binomedian import cli, critical, verify
 from binomedian.critical import Bracket, ExactRoot, isolate_root
 from binomedian.polynomial import IntPolynomial
 from binomedian.rational import binomial_coeff
@@ -74,24 +75,23 @@ def horner_count(monkeypatch):
 
 def assert_cells_proved(ns, digit_values):
     """`_newton_cell`'s cell passes the two proving signs for every k of each
-    n at each width 10^-digits; the odd middle root 1/2 gives None."""
+    n at each width 10^-digits; the odd middle root 1/2 has no cell to prove."""
     for n in ns:
         for k in range(1, n + 1):
+            if 2 * k == n + 1:
+                continue
             poly = critical._checked_poly(n, k)
             for digits in digit_values:
                 t = critical._steps_for(Fraction(1, 10**digits))
                 lo = critical._newton_cell(poly, n, k, t)
-                if 2 * k == n + 1:
-                    assert lo is None, (n, k, digits)
-                    continue
-                assert lo is not None, (n, k, digits)
                 signs = critical._sign_at(poly, lo, t), critical._sign_at(poly, lo + 1, t)
                 assert signs == (1, -1), (n, k, digits)
 
 
-def coarse_width(n, extra=4):
-    """2^-(bit_length(n) + extra); at extra = 4 the ordering check's width."""
-    return Fraction(1, 1 << (n.bit_length() + extra))
+def coarse_width(n, extra=0):
+    """2^-(`critical._coarse_level(n)` + extra); at extra = 0 the ordering
+    check's width."""
+    return Fraction(1, 1 << (critical._coarse_level(n) + extra))
 
 
 def half_margin(n, k, j, t):
@@ -158,13 +158,14 @@ def test_without_newton_outputs_are_unchanged(monkeypatch, capsys):
             assert cli.main(argv) == 0
         return capsys.readouterr().out
 
-    with_newton = outputs()
-    monkeypatch.setattr(critical, "_newton_cell", lambda *args: None)
-    assert outputs() == with_newton
+    with_start = outputs()
+    # no start proves a cell, so every root is bisected from [0, 1]
+    monkeypatch.setattr(critical, "_proved_cell", lambda *args: None)
+    assert outputs() == with_start
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
-def test_adjacent_cell_is_rejected_by_the_two_signs(monkeypatch, sign_count, offset):
+def test_guess_one_cell_off_is_corrected_by_the_probe(monkeypatch, sign_count, offset):
     width = Fraction(1, 10**35)
     steps = critical._steps_for(width)
     for n, k in [(2, 2), (10, 3), (40, 27)]:
@@ -173,16 +174,15 @@ def test_adjacent_cell_is_rejected_by_the_two_signs(monkeypatch, sign_count, off
         monkeypatch.setattr(critical, "_newton_cell", lambda *args: guess)
         sign_count[0] = 0
         assert isolate_root(n, k, width) == want, (n, k)
-        # rejected after one or two signs, then the full bisection ran
-        assert sign_count[0] >= steps + 1, (n, k)
+        # the probe proves the neighbour: two signs below the root's cell,
+        # three above it, and no bisection
+        assert sign_count[0] == (2 if offset > 0 else 3), (n, k, sign_count[0])
 
 
 def test_odd_middle_index_is_exact_half():
     for n in range(1, 42, 2):
         middle = (n + 1) // 2
-        poly = critical._checked_poly(n, middle)
         for width in ORACLE_WIDTHS + [critical.DEFAULT_WIDTH]:
-            assert critical._newton_cell(poly, n, middle, critical._steps_for(width)) is None
             assert isolate_root(n, middle, width) == ExactRoot(HALF), (n, width)
 
 
@@ -281,19 +281,53 @@ def test_steps_for_matches_the_fraction_formula(width):
     assert critical._steps_for(width) == fraction_steps_for(width)
 
 
-def test_sign_evaluations_per_root_stay_low(sign_count):
-    # about 117 signs per root for plain bisection at this width; the
-    # Newton start needs 2, so a slide back to bisection fails here
-    width = Fraction(1, 10**35)
-    worst = 0
-    for n in range(1, 41):
+def test_sign_evaluations_per_root_stay_low(sign_count, halley_count):
+    # every root takes at most 3 signs at either level: two prove the cell
+    # next to the start, a third where it is one above, and the odd middle is
+    # bisection's first sign.  Plain bisection takes bit_length(n) + 4 signs
+    # or more at the coarse width and about 117 at 10^-35, so a slide back to
+    # it fails here; at the coarse width no root takes a Halley step
+    levels = [(range(1, 301), coarse_width), (range(1, 41), lambda n: Fraction(1, 10**35))]
+    for ns, width_for in levels:
+        for n in ns:
+            for k in range(1, n + 1):
+                sign_count[0] = 0
+                enclosure = isolate_root(n, k, width_for(n))
+                assert sign_count[0] <= (1 if 2 * k == n + 1 else 3), (n, k, sign_count[0])
+                if 2 * k == n + 1:
+                    assert enclosure == ExactRoot(HALF), n
+        if width_for is coarse_width:
+            assert halley_count[0] == 0
+
+
+@pytest.mark.parametrize("digits", [35, 125, 400])
+def test_odd_middle_is_evaluated_exactly_once_and_takes_no_halley_step(
+    monkeypatch, halley_count, digits
+):
+    # only `_sign_at`'s fallback evaluates P exactly, and only the odd
+    # middle's 1/2 reaches it, as bisection's first midpoint: once per odd
+    # middle, with no start and so no Halley step before it
+    exact, halley_ks = [0], []
+    scaled_value, halley_step = IntPolynomial.scaled_value, critical._halley_step
+
+    def counting(self, num, den):
+        exact[0] += 1
+        return scaled_value(self, num, den)
+
+    def recording(poly, n, k, *args):
+        halley_ks.append(2 * k == n + 1)
+        return halley_step(poly, n, k, *args)
+
+    monkeypatch.setattr(IntPolynomial, "scaled_value", counting)
+    monkeypatch.setattr(critical, "_halley_step", recording)
+    width = Fraction(1, 10**digits)
+    for n in range(1, 61):
         for k in range(1, n + 1):
-            sign_count[0] = 0
-            enclosure = isolate_root(n, k, width)
-            if isinstance(enclosure, Bracket):
-                worst = max(worst, sign_count[0])
-                assert sign_count[0] <= 16, (n, k, sign_count[0])
-    assert worst > 0
+            before = exact[0]
+            isolate_root(n, k, width)
+            assert exact[0] - before == (1 if 2 * k == n + 1 else 0), (n, k, exact[0] - before)
+    assert exact[0] == 30
+    assert halley_ks and not any(halley_ks)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +335,18 @@ def test_sign_evaluations_per_root_stay_low(sign_count):
 
 
 def test_coarse_cells_match_bisection_oracle():
-    # the ordering check's width, where every root goes through `_kerman_cell`
+    # the ordering check's width, where every root but the odd middle starts
+    # from Kerman's start
     for n in range(1, 201):
         width = coarse_width(n)
-        for k in range(1, n + 1):
-            assert isolate_root(n, k, width) == bisection_enclose(n, k, width), (n, k)
+        for k, poly in enumerate(verify._critical_polys(n), 1):
+            want = bisection_enclose(n, k, width, poly)
+            assert isolate_root(n, k, width, poly=poly) == want, (n, k)
 
 
 @pytest.mark.parametrize(
     "width_for",
-    [lambda n: Fraction(1, 2), lambda n: Fraction(1, 7), lambda n: coarse_width(n, 3)],
+    [lambda n: Fraction(1, 2), lambda n: Fraction(1, 7), lambda n: coarse_width(n, -1)],
     ids=["1/2", "1/7", "2^-(bitlen+3)"],
 )
 def test_coarse_cells_match_bisection_oracle_at_other_widths(width_for):
@@ -318,7 +354,7 @@ def test_coarse_cells_match_bisection_oracle_at_other_widths(width_for):
     # bisection goes on below it
     for n in range(1, 41):
         width = width_for(n)
-        assert critical._steps_for(width) <= n.bit_length() + 4
+        assert critical._steps_for(width) <= critical._coarse_level(n)
         for k in range(1, n + 1):
             assert isolate_root(n, k, width) == bisection_enclose(n, k, width), (n, k)
 
@@ -327,7 +363,7 @@ def kerman_within_one_cell(n, k):
     """Kerman's start on the ordering check's level lies within one cell of
     the root: P_{n,k} is positive one cell below the start's cell m and
     negative two cells above it, so the root's cell is m - 1, m or m + 1."""
-    t = n.bit_length() + 4
+    t = critical._coarse_level(n)
     m = critical._kerman_start(n, k, t)
     return half_margin(n, k, m - 1, t) > 1e-9 and half_margin(n, k, m + 2, t) < -1e-9
 
@@ -345,21 +381,6 @@ def test_kerman_start_within_one_cell_at_the_extreme_indices():
             assert kerman_within_one_cell(n, k), (n, k)
 
 
-def test_coarse_roots_take_at_most_three_signs_and_no_halley_step(sign_count, halley_count):
-    # two signs prove the cell next to the start, a third where it is one
-    # above; the odd middle is bisection's first sign; a fallback to
-    # bisection would take bit_length(n) + 4 signs or more
-    for n in range(1, 301):
-        width = coarse_width(n)
-        for k in range(1, n + 1):
-            sign_count[0] = 0
-            enclosure = isolate_root(n, k, width)
-            assert sign_count[0] <= (1 if 2 * k == n + 1 else 3), (n, k, sign_count[0])
-            if 2 * k == n + 1:
-                assert enclosure == ExactRoot(HALF), n
-    assert halley_count[0] == 0
-
-
 @pytest.mark.parametrize("width_for", [lambda n: Fraction(1, 2), lambda n: Fraction(1, 7), coarse_width])
 def test_zero_next_to_the_start_is_left_to_bisection(width_for):
     # P = 1 - 2x passes the endpoint check for every (n, k), and 1/2 is the
@@ -375,13 +396,16 @@ def test_zero_next_to_the_start_is_left_to_bisection(width_for):
 
 @pytest.mark.parametrize("offset", [-2, 2])
 def test_start_two_cells_off_is_rejected_by_the_signs(monkeypatch, sign_count, offset):
-    for n, k in [(2, 2), (10, 3), (40, 27), (300, 1), (300, 300)]:
-        width = coarse_width(n)
-        steps = critical._steps_for(width)
-        want = bisection_enclose(n, k, width)
-        start = int(want.lo * (1 << steps)) + offset
-        monkeypatch.setattr(critical, "_kerman_start", lambda *args: start)
-        sign_count[0] = 0
-        assert isolate_root(n, k, width) == want, (n, k)
-        # rejected after two or three signs, then the full bisection ran
-        assert sign_count[0] >= steps + 2, (n, k)
+    # Kerman's start at the coarse width, `_newton_cell`'s guess at 10^-35
+    starts = [("_kerman_start", coarse_width), ("_newton_cell", lambda n: Fraction(1, 10**35))]
+    for name, width_for in starts:
+        for n, k in [(2, 2), (10, 3), (40, 27), (300, 1), (300, 300)]:
+            width = width_for(n)
+            steps = critical._steps_for(width)
+            want = bisection_enclose(n, k, width)
+            start = int(want.lo * (1 << steps)) + offset
+            monkeypatch.setattr(critical, name, lambda *args: start)
+            sign_count[0] = 0
+            assert isolate_root(n, k, width) == want, (name, n, k)
+            # rejected after two or three signs, then the full bisection ran
+            assert sign_count[0] >= steps + 2, (name, n, k)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from binomedian import critical
 from binomedian.critical import Bracket
 from binomedian.polynomial import IntPolynomial
+from helpers import dyadic_value
 
 
 def exact_sign(poly, m, t):
@@ -73,11 +74,10 @@ def points(draw):
     k = draw(st.integers(1, n))
     t = draw(st.integers(0, 300))
     poly = critical.critical_poly(n, k)
-    lo = critical._newton_cell(poly, n, k, t) if draw(st.booleans()) else None
-    if lo is None:
-        m = draw(st.integers(0, 2**t))
+    if draw(st.booleans()):
+        m = min(max(critical._newton_cell(poly, n, k, t) + draw(st.integers(-2, 2)), 0), 2**t)
     else:
-        m = min(max(lo + draw(st.integers(-2, 2)), 0), 2**t)
+        m = draw(st.integers(0, 2**t))
     return poly, m, t
 
 
@@ -100,13 +100,24 @@ def test_starved_precision_never_decides_wrong():
             poly = critical.critical_poly(n, k)
             for t in (8, 40, 117):
                 lo = critical._newton_cell(poly, n, k, t)
-                if lo is None:
-                    lo = 1 << (t - 1)
                 for m in range(max(lo - 2, 0), min(lo + 4, 2**t + 1)):
                     starved = check_lemma(poly, m, t, t)
                     assert starved in (None, exact_sign(poly, m, t)), (n, k, m, t)
                     decided += starved is not None
     assert decided > 0
+
+
+def test_oracle_dyadic_value_matches_scaled_value():
+    # `helpers.bisection_enclose` signs with `dyadic_value`, not the library's
+    # `scaled_value`; the two must be the same integer
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            poly = critical.critical_poly(n, k)
+            for t in range(7):
+                for m in range(2**t + 1):
+                    assert dyadic_value(poly, m, t) == poly.scaled_value(m, 1 << t), (n, k, m, t)
+    poly = IntPolynomial((5,))
+    assert dyadic_value(poly, 3, 4) == poly.scaled_value(3, 16) == 5
 
 
 def test_odd_middle_half_is_zero_through_the_exact_path(exact_calls):

@@ -381,7 +381,7 @@ class TestCoarseOrdering:
         # inside the one at the coarse width
         for n in range(1, 41):
             for width in ORDERING_WIDTHS:
-                coarse = max(width, Fraction(1, 1 << (n.bit_length() + 4)))
+                coarse = max(width, Fraction(1, 1 << critical._coarse_level(n)))
                 for k in range(1, n + 1):
                     fine, outer = isolate_root(n, k, width), isolate_root(n, k, coarse)
                     if isinstance(outer, ExactRoot):
