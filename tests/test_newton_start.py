@@ -281,23 +281,19 @@ def test_steps_for_matches_the_fraction_formula(width):
     assert critical._steps_for(width) == fraction_steps_for(width)
 
 
-def test_sign_evaluations_per_root_stay_low(sign_count, halley_count):
-    # every root takes at most 3 signs at either level: two prove the cell
-    # next to the start, a third where it is one above, and the odd middle is
-    # bisection's first sign.  Plain bisection takes bit_length(n) + 4 signs
-    # or more at the coarse width and about 117 at 10^-35, so a slide back to
-    # it fails here; at the coarse width no root takes a Halley step
-    levels = [(range(1, 301), coarse_width), (range(1, 41), lambda n: Fraction(1, 10**35))]
-    for ns, width_for in levels:
-        for n in ns:
-            for k in range(1, n + 1):
-                sign_count[0] = 0
-                enclosure = isolate_root(n, k, width_for(n))
-                assert sign_count[0] <= (1 if 2 * k == n + 1 else 3), (n, k, sign_count[0])
-                if 2 * k == n + 1:
-                    assert enclosure == ExactRoot(HALF), n
-        if width_for is coarse_width:
-            assert halley_count[0] == 0
+def test_sign_evaluations_per_root_stay_low(sign_count):
+    # about 117 signs per root for plain bisection at this width; the probe
+    # next to the start takes two, a third where the cell is one above, and
+    # the odd middle is bisection's first sign, so a slide back to bisection
+    # fails here
+    width = Fraction(1, 10**35)
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            sign_count[0] = 0
+            enclosure = isolate_root(n, k, width)
+            assert sign_count[0] <= (1 if 2 * k == n + 1 else 3), (n, k, sign_count[0])
+            if 2 * k == n + 1:
+                assert enclosure == ExactRoot(HALF), n
 
 
 @pytest.mark.parametrize("digits", [35, 125, 400])
@@ -379,6 +375,21 @@ def test_kerman_start_within_one_cell_at_the_extreme_indices():
     for n in range(1, 2049):
         for k in {1, min(2, n), max(n - 1, 1), n}:
             assert kerman_within_one_cell(n, k), (n, k)
+
+
+def test_coarse_roots_take_at_most_three_signs_and_no_halley_step(sign_count, halley_count):
+    # two signs prove the cell next to the start, a third where it is one
+    # above; the odd middle is bisection's first sign; a fallback to
+    # bisection would take bit_length(n) + 4 signs or more
+    for n in range(1, 301):
+        width = coarse_width(n)
+        for k in range(1, n + 1):
+            sign_count[0] = 0
+            enclosure = isolate_root(n, k, width)
+            assert sign_count[0] <= (1 if 2 * k == n + 1 else 3), (n, k, sign_count[0])
+            if 2 * k == n + 1:
+                assert enclosure == ExactRoot(HALF), n
+    assert halley_count[0] == 0
 
 
 @pytest.mark.parametrize("width_for", [lambda n: Fraction(1, 2), lambda n: Fraction(1, 7), coarse_width])
