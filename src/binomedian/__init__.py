@@ -23,17 +23,7 @@ from .critical import (
     isolate_root,
 )
 from .distribution import BinomialParams, ParameterError, cdf, pmf, pmf_sequence, survival
-from .median import (
-    DistributionError,
-    FiniteDiscreteDist,
-    MedianClass,
-    MedianInterval,
-    MedianResult,
-    UniqueMedian,
-    check_median,
-    median_binomial,
-    median_finite,
-)
+from .median import MedianInterval, MedianResult, UniqueMedian, median_binomial
 from .polynomial import IntPolynomial
 from .rational import (
     RationalParseError,
@@ -42,7 +32,6 @@ from .rational import (
     binomial_coeff,
     decimal_string,
     format_rational,
-    make_rational,
     parse_rational,
     shared_prefix_decimal,
 )

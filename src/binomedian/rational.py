@@ -3,7 +3,7 @@
 All probabilities, roots, and enclosure endpoints in this package are
 `fractions.Fraction` values, which are always kept in canonical form
 (positive denominator, gcd(|num|, den) = 1, zero as 0/1).  This module adds
-the pieces Fraction does not ship with: strict construction and parsing of
+the pieces Fraction does not ship with: strict coercion and parsing of
 the "num/den" wire form, total binomial coefficients, and exact decimal
 rendering that never invents digits.
 """
@@ -17,7 +17,6 @@ from fractions import Fraction
 __all__ = [
     "ZeroDenominatorError",
     "RationalParseError",
-    "make_rational",
     "parse_rational",
     "format_rational",
     "as_exact",
@@ -28,7 +27,7 @@ __all__ = [
 
 
 class ZeroDenominatorError(ValueError):
-    """A rational was constructed or parsed with denominator zero."""
+    """A rational was parsed with denominator zero."""
 
 
 class RationalParseError(ValueError):
@@ -36,13 +35,6 @@ class RationalParseError(ValueError):
 
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-def make_rational(num: int, den: int) -> Fraction:
-    """Canonical num/den with the sign carried by the numerator."""
-    if den == 0:
-        raise ZeroDenominatorError("denominator must be nonzero")
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -13,8 +13,10 @@ from [0, 1] without a Newton guess and with its step count from a Fraction
 call per k, the battery's ordering verdict from enclosures at the requested
 width alone, binomial masses, CDFs and medians from a chain of Fraction
 mass ratios, polynomial values from a Fraction Horner loop, and decimal
-renderings from Fraction products.  `mc_median_check` is the suite's one
-floating-point oracle: an empirical median from seeded samples.
+renderings from Fraction products.  Two oracles use floating point:
+`mc_median_check`, an empirical median from seeded samples, and
+`tests/test_newton_start.py::half_margin`, a float CDF whose rounding
+error is bounded well below the margins it decides.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from binomedian.critical import (
     Bracket,
@@ -35,13 +37,7 @@ from binomedian.critical import (
     isolate_root,
 )
 from binomedian.distribution import BinomialParams, binomial_weights
-from binomedian.median import (
-    FiniteDiscreteDist,
-    MedianInterval,
-    MedianResult,
-    UniqueMedian,
-    median_binomial,
-)
+from binomedian.median import MedianInterval, MedianResult, UniqueMedian, median_binomial
 from binomedian.polynomial import IntPolynomial
 from binomedian.rational import decimal_string, format_rational
 
@@ -56,47 +52,57 @@ def pascal_row(n: int) -> list[int]:
     return row
 
 
-def random_finite_dist(rng: random.Random, max_support: int = 12) -> FiniteDiscreteDist:
-    """Random strictly increasing rational support with masses summing to 1."""
-    size = rng.randint(1, max_support)
-    points: set[Fraction] = set()
-    while len(points) < size:
-        points.add(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
-    support = tuple(sorted(points))
-    weights = [rng.randint(1, 20) for _ in range(size)]
-    total = sum(weights)
-    return FiniteDiscreteDist(support, tuple(Fraction(w, total) for w in weights))
+class Masses(NamedTuple):
+    """A finite distribution as increasing support points and their masses;
+    nothing checks that the masses are positive or sum to 1."""
+
+    support: tuple[Fraction, ...]
+    probs: tuple[Fraction, ...]
 
 
-def tail_at_most(dist: FiniteDiscreteDist, m: Fraction) -> Fraction:
+def binomial_masses(n: int, p: Fraction) -> Masses:
+    """B(n, p) from `fraction_pmf_sequence`, with the zero masses dropped."""
+    pairs = [
+        (Fraction(k), mass)
+        for k, mass in enumerate(fraction_pmf_sequence(BinomialParams(n, p)))
+        if mass
+    ]
+    return Masses(tuple(x for x, _ in pairs), tuple(w for _, w in pairs))
+
+
+def tail_at_most(dist: Masses, m: Fraction) -> Fraction:
     return sum((w for x, w in zip(dist.support, dist.probs) if x <= m), Fraction(0))
 
 
-def tail_at_least(dist: FiniteDiscreteDist, m: Fraction) -> Fraction:
+def tail_at_least(dist: Masses, m: Fraction) -> Fraction:
     return sum((w for x, w in zip(dist.support, dist.probs) if x >= m), Fraction(0))
 
 
-def median_by_enumeration(dist: FiniteDiscreteDist):
+def weak_medians(dist: Masses) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(x, P(X <= x), P(X >= x)) for every support point x with both tails
+    at least 1/2, the tails running sums over the support in each direction."""
+    at_most = itertools.accumulate(dist.probs)
+    at_least = reversed(list(itertools.accumulate(reversed(dist.probs))))
+    return [
+        (x, le, ge)
+        for x, le, ge in zip(dist.support, at_most, at_least)
+        if le >= HALF and ge >= HALF
+    ]
+
+
+def median_by_enumeration(dist: Masses):
     """Median classification by brute enumeration over the support.
 
     Collects every support point satisfying the weak inequalities, then
     checks the strict ones; returns ("unique", m) or ("interval", lo, hi).
     """
-    weak = [
-        x
-        for x in dist.support
-        if tail_at_most(dist, x) >= HALF and tail_at_least(dist, x) >= HALF
-    ]
-    strong = [
-        x
-        for x in weak
-        if tail_at_most(dist, x) > HALF and tail_at_least(dist, x) > HALF
-    ]
+    weak = weak_medians(dist)
+    strong = [x for x, le, ge in weak if le > HALF and ge > HALF]
     if strong:
         assert len(strong) == 1
         return ("unique", strong[0])
     assert weak
-    return ("interval", weak[0], weak[-1])
+    return ("interval", weak[0][0], weak[-1][0])
 
 
 def isqrt_fraction(m: int, digits: int) -> Fraction:

@@ -20,24 +20,18 @@ import pytest
 
 import binomedian
 from binomedian.critical import ExactRational, certify, critical_poly, isolate_root
-from binomedian.median import (
-    MedianClass,
-    MedianInterval,
-    UniqueMedian,
-    check_median,
-    median_binomial,
-    median_finite,
-)
+from binomedian.median import MedianInterval, UniqueMedian, median_binomial
 from binomedian.verify import _check_identities
 from helpers import (
     HALF,
+    binomial_masses,
     icbrt_fraction,
     isqrt_fraction,
     mc_median_check,
     median_by_enumeration,
-    random_finite_dist,
     tail_at_least,
     tail_at_most,
+    weak_medians,
 )
 
 VERIFY_ARGV = [
@@ -153,43 +147,32 @@ def test_criterion_6_median_uniqueness_sweep():
 
 def test_criterion_7_lemma_suite():
     rng = random.Random(0xB10_0070)
-    for _ in range(1000):
-        dist = random_finite_dist(rng, max_support=12)
-        result = median_finite(dist)
-        oracle = median_by_enumeration(dist)
-        classes = {x: check_median(dist, x) for x in dist.support}
-        uniques = [x for x, c in classes.items() if c == MedianClass.UNIQUE_MEDIAN]
-        assert len(uniques) <= 1
+    for draw in range(1000):
+        if draw % 4 == 3:
+            # the odd n at 1/2, so that the interval branch runs
+            n, p = 2 * rng.randint(0, 29) + 1, HALF
+        else:
+            n = rng.randint(0, 60)
+            den = rng.randint(1, 1000)
+            p = Fraction(rng.randint(0, den), den)
+        dist = binomial_masses(n, p)
+        result = median_binomial(n, p)
         if isinstance(result, UniqueMedian):
-            assert oracle == ("unique", result.m)
+            m1 = m2 = result.m
+            assert median_by_enumeration(dist) == ("unique", result.m)
             assert result.m in dist.support
-            assert uniques == [result.m]
+            assert tail_at_most(dist, m1) > HALF and tail_at_least(dist, m2) > HALF
         else:
             m1, m2 = result.m1, result.m2
-            assert oracle == ("interval", m1, m2)
+            assert median_by_enumeration(dist) == ("interval", m1, m2)
             assert m1 in dist.support and m2 in dist.support and m1 < m2
             assert tail_at_most(dist, m1) == HALF
             assert tail_at_least(dist, m2) == HALF
-            interior = [m1, m2, m1 + (m2 - m1) / 3, m1 + (m2 - m1) * Fraction(7, 9)]
-            for m in interior:
-                assert check_median(dist, m) == MedianClass.WEAK_MEDIAN
-            for x in dist.support:
-                if not m1 <= x <= m2:
-                    assert classes[x] == MedianClass.NOT_A_MEDIAN
-        # weak classification agrees with the half-tail condition everywhere
-        probes = list(dist.support) + [
-            dist.support[0] - 1,
-            dist.support[-1] + 1,
-            dist.support[0] + Fraction(1, 13),
+        # no support point outside [m1, m2] is a median, and every one inside is
+        assert [x for x, _, _ in weak_medians(dist)] == [
+            x for x in dist.support if m1 <= x <= m2
         ]
-        for m in probes:
-            le, ge = tail_at_most(dist, m), tail_at_least(dist, m)
-            is_median = le >= HALF and ge >= HALF
-            is_weak = is_median and (le == HALF or ge == HALF)
-            got = check_median(dist, m)
-            assert (got == MedianClass.WEAK_MEDIAN) == is_weak
-            assert (got != MedianClass.NOT_A_MEDIAN) == is_median
-    passed("7", "lemma battery on 1000 random finite distributions")
+    passed("7", "median lemmas on 1000 random binomials, every fourth at p = 1/2, n odd")
 
 
 def hoeffding_bound(n: int, p: Fraction, median_lo: int, median_hi: int, samples: int) -> float:

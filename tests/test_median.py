@@ -1,82 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from binomedian.distribution import BinomialParams
-from binomedian.median import (
-    DistributionError,
-    FiniteDiscreteDist,
-    MedianClass,
-    MedianInterval,
-    UniqueMedian,
-    check_median,
-    median_binomial,
-    median_finite,
-)
-from helpers import (
-    HALF,
-    median_by_enumeration,
-    random_finite_dist,
-    tail_at_least,
-    tail_at_most,
-)
-
-
-def dist(points, weights) -> FiniteDiscreteDist:
-    return FiniteDiscreteDist(
-        tuple(Fraction(x) for x in points), tuple(Fraction(w) for w in weights)
-    )
-
-
-class TestConstruction:
-    def test_rejects_zero_mass(self):
-        with pytest.raises(DistributionError):
-            dist([0, 1], [Fraction(1), Fraction(0)])
-
-    def test_rejects_bad_total(self):
-        with pytest.raises(DistributionError):
-            dist([0, 1], [Fraction(1, 2), Fraction(1, 3)])
-
-    def test_rejects_unsorted_support(self):
-        with pytest.raises(DistributionError):
-            dist([1, 0], [Fraction(1, 2), Fraction(1, 2)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(DistributionError):
-            FiniteDiscreteDist((), ())
-
-    def test_from_binomial_drops_zero_masses(self):
-        d = FiniteDiscreteDist.from_binomial(BinomialParams(5, Fraction(0)))
-        assert d.support == (Fraction(0),)
-        assert d.probs == (Fraction(1),)
-
-
-class TestMedianFinite:
-    def test_symmetric_two_point_mass(self):
-        result = median_finite(dist([0, 1], [HALF, HALF]))
-        assert result == MedianInterval(Fraction(0), Fraction(1))
-
-    def test_strict_middle(self):
-        result = median_finite(dist([0, 1, 2], [Fraction(1, 4), HALF, Fraction(1, 4)]))
-        assert result == UniqueMedian(Fraction(1))
-
-    def test_half_boundary_gives_interval(self):
-        # cumulative mass at 1 is exactly 1/6 + 1/3 = 1/2
-        weights = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)]
-        result = median_finite(dist([0, 1, 2, 3], weights))
-        assert result == MedianInterval(Fraction(1), Fraction(2))
-
-    def test_against_enumeration_oracle(self):
-        rng = random.Random(21)
-        for _ in range(300):
-            d = random_finite_dist(rng)
-            got = median_finite(d)
-            want = median_by_enumeration(d)
-            if want[0] == "unique":
-                assert got == UniqueMedian(want[1])
-            else:
-                assert got == MedianInterval(want[1], want[2])
+from binomedian.median import MedianInterval, UniqueMedian, median_binomial
+from helpers import HALF
 
 
 class TestMedianBinomial:
@@ -97,15 +23,6 @@ class TestMedianBinomial:
         assert median_binomial(5, 0) == UniqueMedian(Fraction(0))
         assert median_binomial(5, 1) == UniqueMedian(Fraction(5))
         assert median_binomial(0, Fraction(1, 3)) == UniqueMedian(Fraction(0))
-
-    def test_matches_median_finite(self):
-        rng = random.Random(22)
-        for _ in range(100):
-            n = rng.randint(0, 30)
-            den = rng.randint(2, 60)
-            p = Fraction(rng.randint(1, den - 1), den)
-            d = FiniteDiscreteDist.from_binomial(BinomialParams(n, p))
-            assert median_binomial(n, p) == median_finite(d)
 
     def test_mirror_symmetry(self):
         rng = random.Random(23)
@@ -131,77 +48,3 @@ class TestMedianBinomial:
                 assert result == MedianInterval(Fraction(n - 1, 2), Fraction(n + 1, 2))
             else:
                 assert isinstance(result, UniqueMedian)
-
-
-class TestCheckMedian:
-    def binomial(self, n, p):
-        return FiniteDiscreteDist.from_binomial(BinomialParams(n, Fraction(p)))
-
-    def test_interior_point_of_interval_is_weak(self):
-        d = self.binomial(3, Fraction(1, 2))
-        assert check_median(d, Fraction(3, 2)) == MedianClass.WEAK_MEDIAN
-
-    def test_strict_median_is_unique(self):
-        d = self.binomial(2, Fraction(1, 2))
-        assert check_median(d, 1) == MedianClass.UNIQUE_MEDIAN
-
-    def test_low_tail_point_is_not_a_median(self):
-        d = self.binomial(2, Fraction(1, 2))
-        assert check_median(d, 0) == MedianClass.NOT_A_MEDIAN
-
-    def test_accepts_points_outside_support(self):
-        d = self.binomial(3, Fraction(1, 2))
-        assert check_median(d, Fraction(5, 4)) == MedianClass.WEAK_MEDIAN
-        assert check_median(d, Fraction(-1)) == MedianClass.NOT_A_MEDIAN
-        assert check_median(d, Fraction(17, 4)) == MedianClass.NOT_A_MEDIAN
-
-
-class TestLemmaProperties:
-    """Spot checks of the four structural lemmas; the acceptance suite
-    runs the full 1000-distribution battery."""
-
-    def test_lemma_suite_on_random_distributions(self):
-        rng = random.Random(25)
-        for _ in range(150):
-            d = random_finite_dist(rng)
-            result = median_finite(d)
-            classes = {x: check_median(d, x) for x in d.support}
-            # a unique median lies in the support with positive mass
-            if isinstance(result, UniqueMedian):
-                assert result.m in d.support
-                assert classes[result.m] == MedianClass.UNIQUE_MEDIAN
-            else:
-                m1, m2 = result.m1, result.m2
-                assert m1 in d.support and m2 in d.support and m1 < m2
-                assert tail_at_most(d, m1) == HALF
-                assert tail_at_least(d, m2) == HALF
-                # every point inside the interval is a weak median,
-                # everything in the support outside it is no median at all
-                probe = m1 + (m2 - m1) / 3
-                assert check_median(d, probe) == MedianClass.WEAK_MEDIAN
-                for x in d.support:
-                    expected = (
-                        MedianClass.WEAK_MEDIAN
-                        if m1 <= x <= m2
-                        else MedianClass.NOT_A_MEDIAN
-                    )
-                    assert classes[x] == expected
-            # at most one support point classifies as the unique median
-            assert sum(c == MedianClass.UNIQUE_MEDIAN for c in classes.values()) <= 1
-
-    def test_weak_classification_matches_half_condition(self):
-        rng = random.Random(26)
-        for _ in range(150):
-            d = random_finite_dist(rng, max_support=8)
-            probes = list(d.support) + [
-                d.support[0] - 1,
-                d.support[-1] + 1,
-                d.support[0] + Fraction(1, 7),
-            ]
-            for m in probes:
-                le, ge = tail_at_most(d, m), tail_at_least(d, m)
-                is_median = le >= HALF and ge >= HALF
-                is_weak = is_median and (le == HALF or ge == HALF)
-                got = check_median(d, m)
-                assert (got == MedianClass.WEAK_MEDIAN) == is_weak
-                assert (got == MedianClass.NOT_A_MEDIAN) == (not is_median)

@@ -12,7 +12,6 @@ from binomedian.rational import (
     binomial_coeff,
     decimal_string,
     format_rational,
-    make_rational,
     parse_rational,
     shared_prefix_decimal,
 )
@@ -40,32 +39,6 @@ def brackets(draw):
     lo = draw(nonnegative_rationals())
     gap = draw(st.one_of(nonnegative_rationals(), denominators.map(lambda d: Fraction(1, d))))
     return lo, lo + gap
-
-
-class TestMakeRational:
-    def test_gcd_reduction(self):
-        assert make_rational(2, 4) == Fraction(1, 2)
-
-    def test_sign_normalization(self):
-        r = make_rational(-3, -6)
-        assert r == Fraction(1, 2)
-        assert r.denominator > 0
-
-    def test_canonical_zero(self):
-        r = make_rational(0, 7)
-        assert r.numerator == 0 and r.denominator == 1
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDenominatorError):
-            make_rational(1, 0)
-
-    def test_canonicalization_is_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            a = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            b = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            s = a + b
-            assert make_rational(s.numerator, s.denominator) == s
 
 
 class TestArithmetic:
