@@ -256,9 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "certify",
         help="irrationality certificate for one (n, k)",
-        description="Cost, measured: grows about like n^2. Below the middle "
-        "index the reflection check walks from n down to k, so k far below "
-        "the middle costs most: at n = 2000, k = 100 takes twice k = 800.",
+        description="Cost, measured: grows about like n^1.8 (n = 1000 to 16000, "
+        "in-process on a 2-core Intel Xeon, Python 3.11.7). Below the middle "
+        "index the reflection check reads the derivative of the polynomial and "
+        "its partner, O(n) steps each, so k matters little: at n = 2000, "
+        "k = 100 takes 15 ms and k = 800 22 ms.",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -268,11 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the full theorem battery up to n-max",
         description="Cost, measured: grows about like n-max^2.8 "
-        "(n-max 80 to 320). The monotonicity check's root isolation at a "
-        "coarse width, two signs next to Kerman's start per root, the "
-        "certificates and the identity walk take about a quarter each; "
-        "building each n's polynomials, once for all checks, about a sixth, "
-        "and the median sweep about a tenth.",
+        "(n-max 80 to 320, in-process on a 2-core Intel Xeon, Python 3.11.7). "
+        "The monotonicity check's root isolation at a coarse width, two signs "
+        "next to Kerman's start per root, takes about a third; the "
+        "certificates about a quarter; building each n's polynomials, once "
+        "for all checks, about a sixth; the identity checks, one derivative "
+        "per polynomial, about a seventh; and the median sweep about a tenth.",
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--denom-max", type=int, default=200)

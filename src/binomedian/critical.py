@@ -19,16 +19,17 @@ closed form (derived in `_cdf_coeffs`)
 coefficient is 1 by construction.
 
 The certificates check the reflection identity, and `verify`'s battery both
-it and the derivative identity, against one walk per n (`_walk`), with no
-polynomial arithmetic.  With T_m = C(n,m) x^m (1-x)^(n-m),
-it runs R_{n+1} = 1, R_i = R_{i+1} - 2 T_i down to the lowest index asked
-for.  By the binomial theorem the T_m sum to (x + (1 - x))^n = 1, so
-R_i = 2 sum_{m<i} T_m - 1 = 2 B(i-1; n, x) - 1, the definition of P_{n,i};
-and R_i = 1 - 2 sum_{m>=i} T_m = -(2 B(n-i; n, 1-x) - 1), the reflection
--P_{n,n-i+1}(1 - x) of the partner's definition.  So P_{n,i} = R_i and
-P_{n,n-i+1} = R_{n-i+1}, both compared coefficient by coefficient, prove
-that the library's pair reflects.  Each step's term also gives the right
-side of P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i) = -2 i T_i / x.
+it and the derivative identity, on each polynomial's derivative and constant
+term: O(n) per index, with no polynomial arithmetic.  With
+T_m = C(n,m) x^m (1-x)^(n-m), the derivative of B(i-1; n, x) = sum_{m<i} T_m
+telescopes to -n C(n-1,i-1) x^(i-1) (1-x)^(n-i), so
+P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i) (`_derivative`), and with
+P_{n,i}(0) = 1 it fixes P_{n,i} = 2 B(i-1; n, x) - 1, the definition.  By the
+binomial theorem the T_m sum to (x + (1 - x))^n = 1, so that is also
+1 - 2 sum_{m>=i} T_m = -(2 B(n-i; n, 1-x) - 1), the reflection
+-P_{n,n-i+1}(1 - x) of the partner's definition.  So a pair {i, n-i+1} whose
+members both pass (`_derivative_matches` and constant 1) reflects, and a
+mirror-consistent pair of wrong polynomials does not pass.
 
 The irrationality certificates mechanize a three-way case split:
 
@@ -39,7 +40,7 @@ The irrationality certificates mechanize a three-way case split:
   has the form ±1/r for a positive integer r, and no such number lies in
   (1/2, 1), so the root is irrational;
 * k below the middle: the polynomial is the reflection -P(1 - x) of its
-  partner's P at index n-k+1 (both equal R from the walk), so the root is
+  partner's P at index n-k+1 (both equal their definitions), so the root is
   1 minus the partner's and inherits its irrationality.
 
 Certificates rest on exact facts alone and never bisect.  A status's
@@ -59,8 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
-from typing import Collection, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .polynomial import IntPolynomial, _from_ints
 from .rational import binomial_coeff, format_rational, shared_prefix_decimal
@@ -171,41 +171,24 @@ def critical_poly(n: int, k: int) -> IntPolynomial:
     return _from_ints(coeffs)
 
 
-def _one_minus_x_power(m: int) -> list[int]:
-    """Coefficients of (1-x)^m: the one of x^t is (-1)^t C(m,t), and term
-    t+1 is exactly term t times -(m-t)/(t+1), since C(m,t)(m-t) = C(m,t+1)(t+1)."""
-    coeffs = [1]
-    for t in range(m):
-        coeffs.append(-coeffs[-1] * (m - t) // (t + 1))
+def _derivative(n: int, k: int) -> list[int]:
+    """Coefficients of P'_{n,k} = -2n C(n-1,k-1) x^(k-1) (1-x)^(n-k): k - 1 zeros,
+    then the (1-x)^m row, m = n - k, from -2n C(n-1,k-1).  Term t+1 of that row
+    is exactly term t times -(m-t)/(t+1), since C(m,t)(m-t) = C(m,t+1)(t+1)."""
+    m = n - k
+    coeffs, term = [0] * (k - 1), -2 * n * binomial_coeff(n - 1, k - 1)
+    for t in range(m + 1):
+        coeffs.append(term)
+        term = term * (t - m) // (t + 1)
     return coeffs
 
 
-def _walk(
-    n: int, indices: Collection[int]
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """(i, R_i, 2 T_i / x^i) for each i in `indices`, descending, from one walk
-    R_{n+1} = 1, R_i = R_{i+1} - 2 T_i down to the least of them.
-
-    R_i = 2 B(i-1; n, x) - 1 = -P_{n,n-i+1}(1 - x) by the binomial theorem
-    (module docstring).  The walk runs in the basis (-1)^s C(n,s) x^s, the
-    terms of (1-x)^n: there the x^s coefficient of T_i is (-1)^i C(s,i),
-    because C(n,i) C(n-i,s-i) = C(n,s) C(s,i), and column i of Pascal's
-    triangle follows from column i+1 by C(s,i) = C(s+1,i+1) - C(s,i+1), with
-    C(n,i) from the row.  So a step is O(n - i) additions; only the R_i and
-    terms asked for are multiplied out.
-    """
-    row = _one_minus_x_power(n)
-    # in that basis, r holds R_i and col[t] = 2 (-1)^i C(i+t, i) the x^(i+t) coefficient of 2 T_i
-    r, col = [1] + [0] * n, []
-    for i in range(n, min(indices) - 1, -1):
-        col = [b - a for a, b in zip(col, [0] + col)]
-        col.append(2 * row[i])
-        r[i:] = [a - b for a, b in zip(r[i:], col)]
-        if i in indices:
-            # lists: a tuple built from a map object is resized as it fills, and
-            # that raised the battery's young-generation collections 2.5-fold,
-            # promoting more short-lived cyclic garbage (peak RSS +25%)
-            yield i, list(map(mul, row, r)), list(map(mul, row[i:], col))
+def _derivative_matches(poly: IntPolynomial, n: int, k: int) -> bool:
+    """Whether `poly`'s derivative, s c_s at x^(s-1), is `_derivative(n, k)`.
+    With constant coefficient 1 as well, `poly` is P_{n,k}: a polynomial is
+    fixed by its derivative and its constant term."""
+    c = poly.coeffs
+    return [s * c[s] for s in range(1, len(c))] == _derivative(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +428,9 @@ def isolate_root(
     endpoint check, constant coefficient 1 and P(1) = -1, or
     FalsificationError is raised as for a built polynomial.
     """
-    width = Fraction(width)
-    if width <= 0:
+    if not isinstance(width, Fraction):
+        width = Fraction(width)
+    if width.numerator <= 0:
         raise ValueError("width must be positive")
     return _bisect(_checked_poly(n, k, poly), n, k, width)
 
@@ -551,9 +535,10 @@ def _certificates(
 
     The odd middle index certifies the exact root 1/2; indices above the
     middle get direct upper-half evidence; indices below inherit from
-    their partner n-k+1 via the reflection identity, which one walk checks
-    for every such pair once the other facts hold, and reports at the
-    pair's lower index.  Each upper-half certificate is made once per call
+    their partner n-k+1 via the reflection identity, checked once the other
+    facts hold on the derivative and constant term of both members of every
+    such pair, O(n) per member, and reported at the least failing pair's
+    lower index.  Each upper-half certificate is made once per call
     and shared.  P_{n,k} is polys[k-1] where `polys` is given, else
     critical_poly(n, k), built once per call at most.
     """
@@ -595,10 +580,13 @@ def _certificates(
             pairs[k], pairs[above] = poly_for(k), cert.status.poly
             cert = IrrationalityCertificate(n, k, IrrationalBySymmetry(above, cert))
         out.append(cert)
-    if pairs:
-        bad = [min(i, n - i + 1) for i, r, _ in _walk(n, pairs) if list(pairs[i].coeffs) != r]
-        if bad:
-            raise FalsificationError(f"reflection identity failed for (n={n}, i={min(bad)})")
+    bad = [
+        min(i, n - i + 1)
+        for i, poly in pairs.items()
+        if poly.constant != 1 or not _derivative_matches(poly, n, i)
+    ]
+    if bad:
+        raise FalsificationError(f"reflection identity failed for (n={n}, i={min(bad)})")
     return out
 
 
@@ -624,7 +612,7 @@ def certify_range(
     raises ValueError.  The certificates check on it every fact they check
     on built polynomials: constant coefficient 1 and P(1) = -1 at the middle
     and above, P(1/2) > 0 above the middle and P(1/2) = 0 at the odd middle,
-    and their own reflection walk over every pair, so a wrong list raises
+    and their own reflection check of every pair, so a wrong list raises
     the FalsificationError a wrong `critical_poly` would.
     """
     return _certificates(n, range(1, n + 1), width, polys)

@@ -7,8 +7,8 @@ rational point, so no caller needs Fraction arithmetic to test a sign or
 a value.  Root isolation takes its signs from a fixed-point kernel
 (`critical._sign_at`) and calls this one only as its exact fallback, the
 only path that can report a zero.  The battery's identity checks
-(`verify._check_identities`) and the certificates' reflection walk
-(`critical._walk`) work on coefficient lists directly.
+(`verify._check_identities`) and the certificates' reflection check
+(`critical._derivative_matches`) work on coefficient lists directly.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .critical import (
     FalsificationError,
     IrrationalBySymmetry,
     IrrationalUpperHalf,
-    _walk,
     certify_range,
     isolate_root,
 )
@@ -204,7 +203,15 @@ def _check_monotonicity(
         except FalsificationError as exc:
             message = f"n={n} {exc}"
             continue
-        bad = next((k for k in range(1, n) if intervals[k - 1][1] >= intervals[k][0]), None)
+        # hi_k >= lo_{k+1} cross-multiplied: a Fraction comparison costs about a microsecond
+        bad = next(
+            (
+                k
+                for k, ((_, hi), (lo, _)) in enumerate(zip(intervals, intervals[1:]), 1)
+                if hi.numerator * lo.denominator >= lo.numerator * hi.denominator
+            ),
+            None,
+        )
         if bad is None:
             return 1, None
         message = f"n={n} roots {bad} and {bad + 1} of n={n} are not separated at width {w}"
@@ -215,22 +222,23 @@ def _check_identities(
     n: int, polys: list[IntPolynomial]
 ) -> tuple[tuple[int, str | None], tuple[int, str | None]]:
     """The reflection and derivative identities for P_{n,i} = polys[i-1], i = 1..n,
-    compared with one `critical._walk` as it runs.
+    each list checked against its derivative and constant term, O(n) per i.
 
-    P_{n,i} = R_i for every i proves the reflection identity for every pair
-    {i, n-i+1}; a mismatch at either member is reported at the pair's lower
-    index.  Each step's term gives P'_{n,i} (reported as j = i-1).  Each
-    check counts n instances.
+    P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i) (`critical._derivative`) is
+    the derivative identity, reported as j = i-1.  With P_{n,i}(0) = 1 it fixes
+    P_{n,i} = 2 B(i-1; n, x) - 1, its definition.  By the binomial theorem
+    that is also -(2 B(n-i; n, 1-x) - 1), the reflection -P_{n,n-i+1}(1 - x) of
+    the partner's definition, so both members of the pair {i, n-i+1} equal to
+    their definitions prove the reflection identity; a mismatch at either is
+    reported at the pair's lower index.  Each check counts n instances.
     """
     bad_pairs, bad_js = [], []
-    for i, r, term in _walk(n, range(1, n + 1)):
-        coeffs = polys[i - 1].coeffs
-        if list(coeffs) != r:
-            bad_pairs.append(min(i, n - i + 1))
-        # P'_{n,i} = -2 i T_i / x = -i x^(i-1) term, for term = 2 T_i / x^i
-        lhs = [s * c for s, c in enumerate(coeffs)][1:]
-        if lhs != [0] * (i - 1) + [-i * c for c in term]:
+    for i, poly in enumerate(polys, 1):
+        if not critical._derivative_matches(poly, n, i):
             bad_js.append(i - 1)
+            bad_pairs.append(min(i, n - i + 1))
+        elif poly.constant != 1:
+            bad_pairs.append(min(i, n - i + 1))
     reflection = f"n={n} i={min(bad_pairs)} reflection identity failed" if bad_pairs else None
     derivative = f"n={n} j={min(bad_js)} derivative identity failed" if bad_js else None
     return (n, reflection), (n, derivative)
@@ -260,7 +268,7 @@ def _median_value(n: int, p: Fraction, m: Fraction, polys: list[IntPolynomial]) 
 def _expected_median(
     n: int, p: Fraction, result: MedianResult, polys: list[IntPolynomial]
 ) -> str | None:
-    if p == _HALF and n % 2 == 1:
+    if 2 * p.numerator == p.denominator and n % 2 == 1:
         want = MedianInterval(Fraction(n - 1, 2), Fraction(n + 1, 2))
         if result != want:
             return (

@@ -6,7 +6,8 @@ medians from exhaustive enumeration against the defining inequalities,
 reference roots from integer Newton iteration, rational roots from an
 exhaustive rational-root-theorem candidate scan, the CDF polynomials from
 two binomial coefficients per term or, like P(1 - x), from explicit
-polynomial products, -P(1 - x) also from a Taylor shift, enclosures from
+polynomial products, -P(1 - x) also from a Taylor shift, the battery's
+identity verdicts from one O(n^2) walk over the binomial terms, enclosures from
 a bisection that carries both ends and tests the gap as a Fraction or that starts
 from [0, 1] without a Newton guess and with its step count from a Fraction
 1 / width, `table` rows from one `isolate_root`
@@ -270,13 +271,63 @@ def taylor_reflect(coeffs) -> list[int]:
     synthetic division (integer additions only), then y = -x and the
     negation fold into one sign per coefficient.  Trimmed input gives
     trimmed output: the leading coefficient only changes sign.  O(n^2)
-    additions per polynomial; `critical._walk` is tested against it.
+    additions per polynomial; `walk` is tested against it.
     """
     shifted = list(coeffs)
     for i in range(len(shifted) - 1):
         for j in range(len(shifted) - 2, i - 1, -1):
             shifted[j] += shifted[j + 1]
     return [c if j % 2 else -c for j, c in enumerate(shifted)]
+
+
+def walk(n: int, indices) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(i, R_i, 2 T_i / x^i) for each i in `indices`, descending, from one walk
+    R_{n+1} = 1, R_i = R_{i+1} - 2 T_i down to the least of them, with
+    T_i = C(n,i) x^i (1-x)^(n-i).
+
+    By the binomial theorem the T_m sum to 1, so R_i = 2 B(i-1; n, x) - 1,
+    the definition of P_{n,i}, and R_i = -(2 B(n-i; n, 1-x) - 1), the
+    reflection -P_{n,n-i+1}(1 - x) of the partner's; P'_{n,i} = -i x^(i-1) (2 T_i / x^i).
+    The walk runs in the basis (-1)^s C(n,s) x^s, the terms of (1-x)^n, whose
+    row comes from `math.comb`: there the x^s coefficient of T_i is
+    (-1)^i C(s,i), since C(n,i) C(n-i,s-i) = C(n,s) C(s,i), and column i of
+    Pascal's triangle follows from column i+1 by C(s,i) = C(s+1,i+1) - C(s,i+1).
+    O(n^2) additions per n; `critical._derivative_matches` and
+    `verify._check_identities` are tested against it.
+    """
+    row = [(-1) ** s * math.comb(n, s) for s in range(n + 1)]
+    # in that basis, r holds R_i and col[t] = 2 (-1)^i C(i+t, i) the x^(i+t) coefficient of 2 T_i
+    r, col = [1] + [0] * n, []
+    for i in range(n, min(indices) - 1, -1):
+        col = [b - a for a, b in zip(col, [0] + col)]
+        col.append(2 * row[i])
+        r[i:] = [a - b for a, b in zip(r[i:], col)]
+        if i in indices:
+            yield i, [a * b for a, b in zip(row, r)], [a * b for a, b in zip(row[i:], col)]
+
+
+def walk_identities(
+    n: int, polys: list[IntPolynomial]
+) -> tuple[tuple[int, str | None], tuple[int, str | None]]:
+    """`verify._check_identities` by one `walk` over every index: P_{n,i} = R_i
+    for both members of a pair proves its reflection identity, reported at the
+    pair's lower index, and each step's term gives P'_{n,i}, reported as j = i-1."""
+    bad_pairs, bad_js = [], []
+    for i, r, term in walk(n, range(1, n + 1)):
+        coeffs = polys[i - 1].coeffs
+        if list(coeffs) != r:
+            bad_pairs.append(min(i, n - i + 1))
+        if [s * c for s, c in enumerate(coeffs)][1:] != [0] * (i - 1) + [-i * c for c in term]:
+            bad_js.append(i - 1)
+    reflection = f"n={n} i={min(bad_pairs)} reflection identity failed" if bad_pairs else None
+    derivative = f"n={n} j={min(bad_js)} derivative identity failed" if bad_js else None
+    return (n, reflection), (n, derivative)
+
+
+def walk_matches(poly: IntPolynomial, n: int, k: int) -> bool:
+    """Whether `poly` is R_k of the `walk`, P_{n,k} as its definition."""
+    ((_, r, _),) = walk(n, {k})
+    return list(poly.coeffs) == r
 
 
 def fraction_gap_bisect(poly: IntPolynomial, width: Fraction):

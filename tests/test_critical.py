@@ -31,10 +31,13 @@ from helpers import (
     isqrt_fraction,
     pascal_cdf_polynomial,
     poly_add,
+    poly_mul,
     product_one_minus_x_power,
     rational_root_scan,
     sign_at,
     taylor_reflect,
+    walk,
+    walk_matches,
 )
 
 UNIT = (Fraction(0), Fraction(1))
@@ -115,14 +118,20 @@ class TestCriticalPoly:
         for j in sorted({0, 1, n // 3, n // 2, n - 2, n - 1, n}):
             assert IntPolynomial(critical._cdf_coeffs(n, j)) == comb_cdf_polynomial(n, j), (n, j)
 
-    def test_one_minus_x_power_matches_products(self):
-        for m in range(0, 81):
-            assert IntPolynomial(critical._one_minus_x_power(m)) == product_one_minus_x_power(m), m
+    def test_derivative_matches_products(self):
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                scale = IntPolynomial([0] * (k - 1) + [-2 * n * math.comb(n - 1, k - 1)])
+                want = poly_mul(scale, product_one_minus_x_power(n - k))
+                got = critical._derivative(n, k)
+                assert len(got) == n and IntPolynomial(got) == want, (n, k)
 
-    def test_one_minus_x_power_matches_comb(self):
-        for m in range(61):
-            want = [(-1) ** t * math.comb(m, t) for t in range(m + 1)]
-            assert critical._one_minus_x_power(m) == want, m
+    def test_derivative_matches_comb(self):
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                lead = -2 * n * math.comb(n - 1, k - 1)
+                want = [0] * (k - 1) + [lead * (-1) ** t * math.comb(n - k, t) for t in range(n - k + 1)]
+                assert critical._derivative(n, k) == want, (n, k)
 
     def test_unchecked_constructions_equal_checked_ones(self):
         # the library builds these without the constructor's per-coefficient type check
@@ -143,15 +152,16 @@ def polys_for(n):
 
 
 def walk_derivative_sides(n, i):
-    """P'_{n,i} and -i x^(i-1) (2 T_i / x^i) from the walk's term, as coefficient lists."""
-    ((_, _, term),) = critical._walk(n, {i})
+    """P'_{n,i} and -i x^(i-1) (2 T_i / x^i) from the oracle walk's term, as coefficient lists."""
+    ((_, _, term),) = walk(n, {i})
     derivative = [s * c for s, c in enumerate(critical_poly(n, i).coeffs)][1:]
     return derivative, [0] * (i - 1) + [-i * c for c in term]
 
 
 class TestDerivativeIdentity:
-    """P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i), as the battery's
-    `verify._check_identities` checks it against the walk's terms."""
+    """P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i), the right side from the
+    oracle walk's terms; the battery's `verify._check_identities` checks it
+    against `critical._derivative`."""
 
     def test_two_trials(self):
         # P_{2,1} = 1 - 4x + 2x^2
@@ -170,20 +180,21 @@ class TestDerivativeIdentity:
 
 
 class TestSymmetryIdentity:
-    """P_{n,i}(x) = -P_{n,n-i+1}(1 - x), as the battery's
-    `verify._check_identities` checks it against the walk's R_i."""
+    """P_{n,i}(x) = -P_{n,n-i+1}(1 - x), from the oracle walk's R_i; the
+    battery's `verify._check_identities` checks both members of a pair
+    against their derivative and constant term."""
 
     def test_pair(self):
-        ((_, r, _),) = critical._walk(2, {1})
+        ((_, r, _),) = walk(2, {1})
         assert r == [1, -4, 2] == list(critical_poly(2, 1).coeffs)
         assert r == taylor_reflect(critical_poly(2, 2).coeffs)
 
     def test_self_partner_antisymmetry(self):
-        ((_, r, _),) = critical._walk(3, {2})
+        ((_, r, _),) = walk(3, {2})
         assert r == list(critical_poly(3, 2).coeffs) == taylor_reflect(critical_poly(3, 2).coeffs)
 
     def test_single_trial(self):
-        ((_, r, _),) = critical._walk(1, {1})
+        ((_, r, _),) = walk(1, {1})
         assert r == [1, -2] == list(critical_poly(1, 1).coeffs) == taylor_reflect(critical_poly(1, 1).coeffs)
 
     def test_exhaustive_small(self):
@@ -219,11 +230,12 @@ def nk_pairs(n_max):
 
 
 class TestWalk:
-    """`critical._walk`: R_i = 2 B(i-1; n, x) - 1 = -P_{n,n-i+1}(1 - x), and 2 T_i / x^i."""
+    """The oracle `helpers.walk`: R_i = 2 B(i-1; n, x) - 1 = -P_{n,n-i+1}(1 - x),
+    and 2 T_i / x^i."""
 
     def test_matches_closed_form_and_taylor_reflection(self):
         for n in range(1, 61):
-            for k, r, _ in critical._walk(n, range(1, n + 1)):
+            for k, r, _ in walk(n, range(1, n + 1)):
                 assert r == list(critical_poly(n, k).coeffs), (n, k)
                 assert r == taylor_reflect(critical_poly(n, n - k + 1).coeffs), (n, k)
 
@@ -231,23 +243,76 @@ class TestWalk:
     @given(nk_pairs(200))
     def test_one_index_matches_both_oracles(self, nk):
         n, k = nk
-        ((i, r, _),) = critical._walk(n, {k})
+        ((i, r, _),) = walk(n, {k})
         assert i == k
         assert r == list(critical_poly(n, k).coeffs)
         assert r == taylor_reflect(critical_poly(n, n - k + 1).coeffs)
 
     def test_terms_match_polynomial_products(self):
         for n in range(1, 31):
-            for i, _, term in critical._walk(n, range(1, n + 1)):
+            for i, _, term in walk(n, range(1, n + 1)):
                 want = [2 * math.comb(n, i) * c for c in product_one_minus_x_power(n - i).coeffs]
                 assert term == want, (n, i)
 
     def test_walk_to_some_indices_matches_the_full_walk(self):
         for n in (1, 2, 7, 40):
-            full = {i: (r, term) for i, r, term in critical._walk(n, range(1, n + 1))}
+            full = {i: (r, term) for i, r, term in walk(n, range(1, n + 1))}
             for wanted in ({n}, {1}, {1, n}, set(range(1, n + 1, 3))):
-                got = [(i, (r, term)) for i, r, term in critical._walk(n, wanted)]
+                got = [(i, (r, term)) for i, r, term in walk(n, wanted)]
                 assert got == sorted(((i, full[i]) for i in wanted), reverse=True), (n, wanted)
+
+
+def changed_coefficient(n_max):
+    """(n, k, s, delta): P_{n,k} with delta added at x^s, the constant included.
+    delta = None cancels the coefficient, which lowers the degree at s = n."""
+    return nk_pairs(n_max).flatmap(
+        lambda nk: st.tuples(
+            *map(st.just, nk),
+            st.integers(0, nk[0]),
+            st.one_of(st.none(), st.integers(-3, 3), st.integers(-(2**80), 2**80)),
+        )
+    )
+
+
+class TestDerivativeCheck:
+    """`critical._derivative_matches` with constant 1, the check the
+    certificates and the battery make, against the oracle walk's R_k."""
+
+    def test_true_lists_pass(self):
+        for n in range(1, 61):
+            for k, poly in enumerate(polys_for(n), 1):
+                assert poly.constant == 1 and critical._derivative_matches(poly, n, k), (n, k)
+
+    @settings(deadline=None, max_examples=300)
+    @given(changed_coefficient(60))
+    def test_rejects_exactly_what_the_walk_rejects(self, case):
+        n, k, s, delta = case
+        true = critical_poly(n, k)
+        coeffs = list(true.coeffs)
+        coeffs[s] = 0 if delta is None else coeffs[s] + delta
+        poly = IntPolynomial(coeffs)
+        passed = poly.constant == 1 and critical._derivative_matches(poly, n, k)
+        assert passed == walk_matches(poly, n, k) == (poly == true)
+
+    def test_certify_computes_two_derivatives_below_the_middle_and_none_above(self, monkeypatch):
+        calls = []
+        derivative = critical._derivative
+
+        def counting(n, k):
+            calls.append((n, k))
+            return derivative(n, k)
+
+        monkeypatch.setattr(critical, "_derivative", counting)
+        for n in (1, 2, 7, 10, 61):
+            for k in range(1, n + 1):
+                calls.clear()
+                certify(n, k, Fraction(1, 7))
+                want = [(n, k), (n, n - k + 1)] if 2 * k < n + 1 else []
+                assert sorted(calls) == sorted(want), (n, k)
+            calls.clear()
+            certify_range(n, Fraction(1, 7))
+            assert len(calls) == n - n % 2, n
+            assert sorted(calls) == [(n, k) for k in range(1, n + 1) if 2 * k != n + 1], n
 
 
 class TestIsolateRoot:
@@ -300,6 +365,20 @@ class TestIsolateRoot:
             for k in range(1, n + 1):
                 got = isolate_root(n, k, width)
                 assert got == fraction_gap_bisect(critical_poly(n, k), width), (n, k)
+
+    def test_step_cap_is_exact(self, monkeypatch):
+        # width 1/7 means steps = 3: _proved_cell's three signs, then the
+        # cap's 4 * 3 + 256 bisection signs, and not one more
+        signs = []
+
+        def always_positive(poly, m, t):
+            signs.append((m, t))
+            return 1
+
+        monkeypatch.setattr(critical, "_sign_at", always_positive)
+        with pytest.raises(FalsificationError, match="step cap"):
+            isolate_root(6, 2, Fraction(1, 7))
+        assert len(signs) == 3 + 4 * 3 + 256 == 271
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

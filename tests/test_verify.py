@@ -18,6 +18,8 @@ from helpers import (
     mc_median_check,
     poly_add,
     taylor_reflect,
+    walk,
+    walk_identities,
 )
 
 
@@ -73,6 +75,25 @@ ORDERING_FAULTS = {
         lambda real, n, k: (
             poly_add(real(n, k), IntPolynomial((0, 1))) if (n, k) == (4, 2) else real(n, k)
         )
+    ),
+}
+
+#: Every planted fault of this module that changes the polynomial lists,
+#: the ordering ones and those of `TestPlantedFaults`.
+LIST_FAULTS = {
+    **{name: ORDERING_FAULTS[name] for name in ORDERING_FAULTS if name != "sign_kernel_never_settles"},
+    "upper_member_of_a_pair": lambda monkeypatch: perturb(monkeypatch, 5, 4),
+    "mirror_consistent_pair": lambda monkeypatch: plant(
+        monkeypatch, {(5, 2): IntPolynomial((0, 1, -1)), (5, 4): IntPolynomial((0, -1, 1))}
+    ),
+    "middle_root_moved_off_one_half": lambda monkeypatch: perturb(monkeypatch, 3, 2),
+    "p_2_2_plus_x_minus_x_squared": lambda monkeypatch: perturb(monkeypatch, 2, 2),
+    "p_2_2_of_lower_degree": replace_poly(
+        lambda real, n, k: IntPolynomial((1, -2)) if (n, k) == (2, 2) else real(n, k)
+    ),
+    # the derivative stays right: only the constant term tells it
+    "constant_of_p_4_1_off_by_one": lambda monkeypatch: plant(
+        monkeypatch, {(4, 1): IntPolynomial((1,))}
     ),
 }
 
@@ -256,7 +277,7 @@ class TestPlantedFaults:
     def test_mirror_consistent_pair_fails_at_the_lower_index(self, monkeypatch):
         # q = x - x^2 has q(1 - x) = q(x), so P_{5,2} + q and P_{5,4} - q still
         # satisfy the reflection identity; only comparing both with their
-        # definition, R_2 and R_4 of the walk, tells them from the true pair
+        # definition, by derivative and constant term, tells them from the true pair
         plant(monkeypatch, {(5, 2): IntPolynomial((0, 1, -1)), (5, 4): IntPolynomial((0, -1, 1))})
         lower, upper = critical.critical_poly(5, 2), critical.critical_poly(5, 4)
         assert taylor_reflect(upper.coeffs) == list(lower.coeffs)
@@ -420,7 +441,7 @@ class TestCoarseOrdering:
 class TestIdentityWork:
     def test_each_polynomial_built_once_per_check_pass(self, monkeypatch):
         # per n, one list P_{n,1..n} serves every check: certificates and root
-        # isolation take it as given, and the walk builds no polynomial
+        # isolation take it as given, and the identity checks build no polynomial
         calls = []
         real = critical._cdf_coeffs
 
@@ -437,6 +458,40 @@ class TestIdentityWork:
         # a plant at `critical.critical_poly` reaches the battery's list only
         # while `verify` builds it through that name
         assert not hasattr(verify, "critical_poly")
+
+
+def certify_outcome(n, polys):
+    """None when certify_range(n, polys=polys) passes, else its FalsificationError text."""
+    try:
+        critical.certify_range(n, Fraction(1, 10**6), polys=polys)
+    except FalsificationError as exc:
+        return str(exc)
+    return None
+
+
+class TestDerivativeCheckAgainstTheWalk:
+    """The identity verdicts from derivatives and constant terms, in
+    `verify._check_identities` and `certify_range`, against the oracle walk
+    the library used before: `helpers.walk_identities`, and `certify_range`
+    with each member compared with the walk's R_i."""
+
+    @pytest.mark.parametrize("fault", [None, *sorted(LIST_FAULTS)])
+    def test_same_verdicts_for_every_n_up_to_40(self, monkeypatch, fault):
+        if fault is not None:
+            LIST_FAULTS[fault](monkeypatch)
+        failed = False
+        for n in range(1, 41):
+            polys = verify._critical_polys(n)
+            got = (verify._check_identities(n, polys), certify_outcome(n, polys))
+            rows = {i: r for i, r, _ in walk(n, range(1, n + 1))}
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    critical, "_derivative_matches", lambda poly, n, k: list(poly.coeffs) == rows[k]
+                )
+                want = (walk_identities(n, polys), certify_outcome(n, polys))
+            assert got == want, n
+            failed = failed or got != (((n, None), (n, None)), None)
+        assert failed == (fault is not None)
 
 
 class TestMcMedianCheck:
