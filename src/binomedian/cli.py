@@ -10,7 +10,13 @@ row reflects its partner's, so only the upper half is.
 
 A launch imports only what its command runs: `--threads` > 1 loads the
 process pool inside `ordered_map`, `verify` loads `hashlib` for its seeded
-streams, and `table` loads `csv`.
+streams, and `table` loads `csv`.  Besides the package, every launch loads
+`argparse`, `json` and `fractions` with their own imports, and nothing else:
+the records are plain frozen classes, so neither `dataclasses` (with
+`inspect`, `ast`, `dis` and `tokenize`) nor `typing` is loaded.  A launch is
+ready to parse in about 64 ms without bytecode caches and 53 ms with them,
+against 77 and 67 ms with `dataclasses` (medians of 30 alternating launches
+of the benchmark's set-up probe, 2-core Intel Xeon, CPython 3.11.7).
 """
 
 from __future__ import annotations

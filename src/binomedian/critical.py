@@ -57,11 +57,10 @@ it the same facts they check on polynomials they build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence, Union
 
+from ._record import Record, set_field
 from .polynomial import IntPolynomial, _from_ints
 from .rational import binomial_coeff, format_rational, shared_prefix_decimal
 
@@ -101,22 +100,29 @@ class FalsificationError(RuntimeError):
 # enclosures
 
 
-@dataclass(frozen=True)
-class ExactRoot:
+class ExactRoot(Record):
     """A rational point where the polynomial evaluates to exactly zero."""
 
+    __slots__ = _fields = ("root",)
     root: Fraction
+
+    def __init__(self, root: Fraction) -> None:
+        set_field(self, "root", root)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {"type": "exact", "root": format_rational(self.root)}
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     """lo < hi with rigorously proved opposite polynomial signs at the ends."""
 
+    __slots__ = _fields = ("lo", "hi")
     lo: Fraction
     hi: Fraction
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
@@ -127,7 +133,7 @@ class Bracket:
         }
 
 
-RootEnclosure = Union[ExactRoot, Bracket]
+RootEnclosure = ExactRoot | Bracket
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +445,14 @@ def isolate_root(
 # certificates
 
 
-@dataclass(frozen=True)
-class ExactRational:
+class ExactRational(Record):
     """The critical probability is exactly this rational (always 1/2)."""
 
+    __slots__ = _fields = ("root",)
     root: Fraction
+
+    def __init__(self, root: Fraction) -> None:
+        set_field(self, "root", root)
 
     @property
     def enclosure(self) -> ExactRoot:
@@ -453,8 +462,7 @@ class ExactRational:
         return {"type": "exact_rational", "root": format_rational(self.root)}
 
 
-@dataclass(frozen=True)
-class IrrationalUpperHalf:
+class IrrationalUpperHalf(Record):
     """Direct irrationality evidence for the root of `poly` = P_{n,k}, k above the middle.
 
     Records the exact facts the argument needs, checked on `poly`: P(1/2) has
@@ -465,22 +473,44 @@ class IrrationalUpperHalf:
     bisects `poly` to `width` on first read only.
     """
 
+    _fields = ("n", "k", "poly", "width", "constant_coeff", "sign_at_half")
+    _hidden = ("poly",)
+    __slots__ = (*_fields, "_enclosure")
     n: int
     k: int
-    poly: IntPolynomial = field(repr=False)
+    poly: IntPolynomial
     width: Fraction
     constant_coeff: int
     sign_at_half: int
 
-    @cached_property
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        poly: IntPolynomial,
+        width: Fraction,
+        constant_coeff: int,
+        sign_at_half: int,
+    ) -> None:
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "poly", poly)
+        set_field(self, "width", width)
+        set_field(self, "constant_coeff", constant_coeff)
+        set_field(self, "sign_at_half", sign_at_half)
+        set_field(self, "_enclosure", None)
+
+    @property
     def enclosure(self) -> Bracket:
-        enclosure = _bisect(self.poly, self.n, self.k, self.width)
-        if isinstance(enclosure, ExactRoot):
-            raise FalsificationError(
-                f"exact rational root {enclosure.root} found for "
-                f"(n={self.n}, k={self.k}) above the middle index"
-            )
-        return enclosure
+        if self._enclosure is None:
+            enclosure = _bisect(self.poly, self.n, self.k, self.width)
+            if isinstance(enclosure, ExactRoot):
+                raise FalsificationError(
+                    f"exact rational root {enclosure.root} found for "
+                    f"(n={self.n}, k={self.k}) above the middle index"
+                )
+            set_field(self, "_enclosure", enclosure)
+        return self._enclosure
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
@@ -491,12 +521,16 @@ class IrrationalUpperHalf:
         }
 
 
-@dataclass(frozen=True)
-class IrrationalBySymmetry:
+class IrrationalBySymmetry(Record):
     """Irrationality inherited from the mirror-image partner index."""
 
+    __slots__ = _fields = ("partner_k", "partner")
     partner_k: int
-    partner: "IrrationalityCertificate"
+    partner: IrrationalityCertificate
+
+    def __init__(self, partner_k: int, partner: IrrationalityCertificate) -> None:
+        set_field(self, "partner_k", partner_k)
+        set_field(self, "partner", partner)
 
     @property
     def enclosure(self) -> Bracket:
@@ -513,16 +547,21 @@ class IrrationalBySymmetry:
         }
 
 
-CertificateStatus = Union[ExactRational, IrrationalUpperHalf, IrrationalBySymmetry]
+CertificateStatus = ExactRational | IrrationalUpperHalf | IrrationalBySymmetry
 
 
-@dataclass(frozen=True)
-class IrrationalityCertificate:
+class IrrationalityCertificate(Record):
     """Machine-checked evidence for the status of one critical probability."""
 
+    __slots__ = _fields = ("n", "k", "status")
     n: int
     k: int
     status: CertificateStatus
+
+    def __init__(self, n: int, k: int, status: CertificateStatus) -> None:
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "status", status)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {"n": self.n, "k": self.k, "status": self.status.to_json_dict(digits)}

@@ -16,11 +16,11 @@ F(k; n, a/b) = 1 - F(n - k - 1; n, c/b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice, repeat
-from typing import Iterator
 
+from ._record import Record, set_field
 from .rational import as_exact, binomial_coeff
 
 __all__ = [
@@ -38,23 +38,23 @@ class ParameterError(ValueError):
     """Trial count or success probability outside the valid domain."""
 
 
-@dataclass(frozen=True)
-class BinomialParams:
+class BinomialParams(Record):
     """Trial count n >= 0 and exact success probability 0 <= p <= 1."""
 
+    __slots__ = _fields = ("n", "p")
     n: int
     p: Fraction
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ParameterError(f"n must be a nonnegative integer, got {self.n!r}")
-        p = self.p
+    def __init__(self, n: int, p: Fraction) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
         if type(p) is not Fraction:  # an exact Fraction is kept as it is
             p = as_exact(p)
-            object.__setattr__(self, "p", p)
         # on the lowest-terms ints: two Fraction comparisons cost more than the rest
         if not 0 <= p.numerator <= p.denominator:
             raise ParameterError(f"p must lie in [0, 1], got {p}")
+        set_field(self, "n", n)
+        set_field(self, "p", p)
 
 
 def binomial_weights(n: int, a: int, c: int) -> Iterator[int]:

@@ -20,10 +20,9 @@ reflection maps p = 1 to n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
+from ._record import Record, set_field
 from .distribution import BinomialParams, binomial_weights
 from .rational import format_rational
 
@@ -35,18 +34,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UniqueMedian:
+class UniqueMedian(Record):
+    __slots__ = _fields = ("m",)
     m: Fraction
+
+    def __init__(self, m: Fraction) -> None:
+        set_field(self, "m", m)
 
     def to_json_dict(self) -> dict:
         return {"type": "unique", "m": format_rational(self.m)}
 
 
-@dataclass(frozen=True)
-class MedianInterval:
+class MedianInterval(Record):
+    __slots__ = _fields = ("m1", "m2")
     m1: Fraction
     m2: Fraction
+
+    def __init__(self, m1: Fraction, m2: Fraction) -> None:
+        set_field(self, "m1", m1)
+        set_field(self, "m2", m2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -56,14 +62,16 @@ class MedianInterval:
         }
 
 
-MedianResult = Union[UniqueMedian, MedianInterval]
+MedianResult = UniqueMedian | MedianInterval
 
 
 def median_binomial(n: int, p: Fraction | int) -> MedianResult:
     """Median of B(n, p), scanning the integer weights of the shorter tail."""
     params = BinomialParams(n, p)
     a, b = params.p.numerator, params.p.denominator
-    # above 1/2, scan n - X ~ B(n, 1 - p): the shorter tail
+    # above 1/2, scan n - X ~ B(n, 1 - p): the shorter tail.  At p = 1/2 either
+    # scan gives the same answer: B(n, 1/2) is symmetric, so its median is its
+    # own reflection, and `>=` here would change no output.
     reflect = 2 * a > b
     if reflect:
         a = b - a

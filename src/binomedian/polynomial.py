@@ -13,8 +13,9 @@ only path that can report a zero.  The battery's identity checks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from ._record import Record, set_field
 
 __all__ = ["IntPolynomial"]
 
@@ -26,18 +27,18 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs[:end])
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """coeffs[i] is the coefficient of x**i; trailing zeros are trimmed."""
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Sequence[int]) -> None:
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        set_field(self, "coeffs", _trim(coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -75,5 +76,5 @@ def _from_ints(coeffs: Sequence[int]) -> IntPolynomial:
     library's own constructions, whose coefficients come from int arithmetic
     alone.  The public constructor keeps the check for what callers hand in."""
     poly = object.__new__(IntPolynomial)
-    object.__setattr__(poly, "coeffs", _trim(coeffs))
+    set_field(poly, "coeffs", _trim(coeffs))
     return poly

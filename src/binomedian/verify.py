@@ -20,11 +20,11 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import critical
+from ._record import Record, set_field
 from .critical import (
     DEFAULT_WIDTH,
     ExactRational,
@@ -64,12 +64,18 @@ MEDIAN_SWEEP_DRAWS = 25
 CONSISTENCY_DRAWS = 10
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "instances", "passed", "counterexample")
     name: str
     instances: int
     passed: bool
     counterexample: str | None
+
+    def __init__(self, name: str, instances: int, passed: bool, counterexample: str | None) -> None:
+        set_field(self, "name", name)
+        set_field(self, "instances", instances)
+        set_field(self, "passed", passed)
+        set_field(self, "counterexample", counterexample)
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,8 +86,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one battery run.
 
     `wall_time` is runtime metadata and deliberately stays out of the
@@ -89,12 +94,29 @@ class VerificationReport:
     seed) must serialize byte-identically.
     """
 
+    __slots__ = _fields = ("n_range", "denom_max", "width", "seed", "checks", "wall_time")
     n_range: tuple[int, int]
     denom_max: int
     width: Fraction
     seed: int
     checks: tuple[CheckResult, ...]
     wall_time: float
+
+    def __init__(
+        self,
+        n_range: tuple[int, int],
+        denom_max: int,
+        width: Fraction,
+        seed: int,
+        checks: tuple[CheckResult, ...],
+        wall_time: float,
+    ) -> None:
+        set_field(self, "n_range", n_range)
+        set_field(self, "denom_max", denom_max)
+        set_field(self, "width", width)
+        set_field(self, "seed", seed)
+        set_field(self, "checks", checks)
+        set_field(self, "wall_time", wall_time)
 
     @property
     def passed(self) -> bool:

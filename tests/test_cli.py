@@ -284,14 +284,32 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_cli_launch_leaves_pool_and_hashlib_unloaded():
+# `dataclasses` would load the last four; the records are built without it
+LAUNCH_UNLOADED = (
+    "concurrent.futures.process", "multiprocessing", "hashlib",
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+)
+
+
+def loaded_at_launch(*flags, modules=LAUNCH_UNLOADED):
+    """Which of `modules` a fresh `binomedian` launch has loaded once its
+    parser is built."""
     code = (
         "import sys, binomedian.cli; binomedian.cli.build_parser(); "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'hashlib') "
-        "if m in sys.modules])"
+        f"print([m for m in {modules!r} if m in sys.modules])"
     )
-    proc = run_python("-c", code)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    proc = run_python(*flags, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_launch_leaves_pool_and_hashlib_unloaded():
+    assert loaded_at_launch() == "[]\n"
+
+
+def test_cli_launch_without_site_leaves_typing_unloaded():
+    # site's .pth hooks may load `typing` themselves; -S leaves only the launch
+    assert loaded_at_launch("-S", modules=(*LAUNCH_UNLOADED, "typing")) == "[]\n"
 
 
 class TestUsageErrors:

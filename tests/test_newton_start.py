@@ -235,17 +235,20 @@ def test_step_from_either_end_is_bounded(n, s):
 
 @pytest.mark.parametrize("s", STEP_SCALES, ids=["exact", "cut"])
 def test_step_is_newtons_where_halleys_denominator_is_not_positive(monkeypatch, s):
-    # at k = 1, P''/P' < 0; a planted P(1/2) = 16 makes 2my + d c negative
+    # at k = 1, P''/P' < 0; from m = 2^(s-1) a planted P(1/2) = 16 makes
+    # 2my + d c negative, and P(1/2) = 10/64 makes d = 2^(s-2) and 2my + d c
+    # exactly 0, where a division by it would fail
     n, k, m = 5, 1, 1 << (s - 1)
     _, guard, scale = step_args(n, k, s)
-    value = 1 << (s + guard + 4)
-    monkeypatch.setattr(critical, "_horner_floor", lambda *args: value)
     y = (1 << s) - m
-    d = (value << s * (n - 1)) // (scale * y ** (n - 1))
-    assert 2 * m * y + d * ((k - 1) * y - (n - k) * m) <= 0
-    new = critical._halley_step(critical._checked_poly(n, k), n, k, m, s, guard, scale)
-    # the cut path's quotient is within one unit of the floor
-    assert abs(new - (m + d)) <= (1 if s >= critical._CUT_BITS else 0)
+    for value, den_sign in [(1 << (s + guard + 4), -1), (10 << (s + guard - 6), 0)]:
+        monkeypatch.setattr(critical, "_horner_floor", lambda *args, value=value: value)
+        d = (value << s * (n - 1)) // (scale * y ** (n - 1))
+        den = 2 * m * y + d * ((k - 1) * y - (n - k) * m)
+        assert (den > 0) - (den < 0) == den_sign
+        new = critical._halley_step(critical._checked_poly(n, k), n, k, m, s, guard, scale)
+        # the cut path's quotient is within one unit of the floor
+        assert abs(new - (m + d)) <= (1 if s >= critical._CUT_BITS else 0), value
 
 
 def test_cut_step_is_within_a_few_units_of_the_exact_step(monkeypatch):

@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import random
 import types
 from fractions import Fraction
@@ -246,8 +245,11 @@ class TestPlantedFaults:
         def planted(n, width, *, polys):
             certs = real(n, width, polys=polys)
             if n == 4:
-                status = dataclasses.replace(certs[2].status, sign_at_half=-1)
-                certs[2] = dataclasses.replace(certs[2], status=status)
+                true = certs[2].status
+                status = critical.IrrationalUpperHalf(
+                    true.n, true.k, true.poly, true.width, true.constant_coeff, sign_at_half=-1
+                )
+                certs[2] = critical.IrrationalityCertificate(certs[2].n, certs[2].k, status)
             return certs
 
         monkeypatch.setattr(verify, "certify_range", planted)
