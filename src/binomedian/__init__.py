@@ -29,7 +29,6 @@ from .rational import (
     RationalParseError,
     ZeroDenominatorError,
     as_exact,
-    binomial_coeff,
     decimal_string,
     format_rational,
     parse_rational,

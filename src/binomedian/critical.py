@@ -12,11 +12,10 @@ bisection's first midpoint.  Every other root starts from a point m on its
 final dyadic level: Kerman's start (Kerman 2011) up to `_coarse_level`,
 where it lies within one cell of the root, and Halley steps from it beyond.
 Signs at m and next to it, three at most, prove the cell (`_proved_cell`):
-at 35 digits 4 Horner passes reach it and 2 signs prove it, where bisection
-alone takes about 117 signs.  The polynomial's coefficients come from the
-closed form (derived in `_cdf_coeffs`)
-1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so the constant
-coefficient is 1 by construction.
+at 35 digits 4 Horner passes reach it and 2 signs prove it.  The
+polynomial's coefficients come from the closed form (derived in
+`_cdf_coeffs`) 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so
+the constant coefficient is 1 by construction.
 
 The certificates check the reflection identity, and `verify`'s battery both
 it and the derivative identity, on each polynomial's derivative and constant
@@ -57,12 +56,13 @@ it the same facts they check on polynomials they build.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._record import Record, set_field
 from .polynomial import IntPolynomial, _from_ints
-from .rational import binomial_coeff, format_rational, shared_prefix_decimal
+from .rational import format_rational, shared_prefix_decimal
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -151,7 +151,7 @@ def _cdf_coeffs(n: int, j: int) -> list[int]:
     partial alternating sum is (-1)^j C(s-1,j).  Term s+1 is exactly term s
     times -(n-s) s / ((s+1)(s-j)): C(n,s)(n-s) = C(n,s+1)(s+1), C(s-1,j) s = C(s,j)(s-j).
     """
-    coeffs, term = [1] + [0] * j, -binomial_coeff(n, j + 1)
+    coeffs, term = [1] + [0] * j, -math.comb(n, j + 1)
     for s in range(j + 1, n + 1):
         coeffs.append(term)
         term = -term * (n - s) * s // ((s + 1) * (s - j))
@@ -163,6 +163,15 @@ def _check_index(n: int, k: int) -> None:
         raise ValueError("n must be positive")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
+
+
+def _checked_width(width: Fraction | int) -> Fraction:
+    """`width` as a Fraction, once it is positive."""
+    if not isinstance(width, Fraction):
+        width = Fraction(width)
+    if width.numerator <= 0:
+        raise ValueError("width must be positive")
+    return width
 
 
 def critical_poly(n: int, k: int) -> IntPolynomial:
@@ -182,7 +191,7 @@ def _derivative(n: int, k: int) -> list[int]:
     then the (1-x)^m row, m = n - k, from -2n C(n-1,k-1).  Term t+1 of that row
     is exactly term t times -(m-t)/(t+1), since C(m,t)(m-t) = C(m,t+1)(t+1)."""
     m = n - k
-    coeffs, term = [0] * (k - 1), -2 * n * binomial_coeff(n - 1, k - 1)
+    coeffs, term = [0] * (k - 1), -2 * n * math.comb(n - 1, k - 1)
     for t in range(m + 1):
         coeffs.append(term)
         term = term * (t - m) // (t + 1)
@@ -251,7 +260,7 @@ def _sign_at(poly: IntPolynomial, m: int, t: int) -> int:
     value = _horner_floor(poly, m, t, t + d.bit_length() + 16)
     if value > 0:
         return 1
-    if value + d <= 0:
+    if value + d <= 0:  # at equality P < 0, so with `<` the exact path returns -1 too
         return -1
     value = poly.scaled_value(m, 1 << t)
     return (value > 0) - (value < 0)
@@ -298,6 +307,8 @@ def _halley_step(
     value = _horner_floor(poly, m, s, s + guard)
     y = (1 << s) - m
     num, den = value << s * (n - 1), scale * m ** (k - 1) * y ** (n - k)
+    # either branch gives a guess; `_proved_cell`'s signs prove or reject it,
+    # and bisection reaches the same cell, so `<=` here changes no output
     if s < _CUT_BITS:
         d = num // den
         two_xy = 2 * m * y
@@ -359,17 +370,19 @@ def _newton_cell(poly: IntPolynomial, n: int, k: int, t: int) -> int:
     at the lowest precision absorbs the start's error; then, since Halley's
     step triples the correct bits, the precision about triples per step up
     to t plus log2(n) + 16 guard bits.  At 35 digits that is 4 steps, one
-    Horner pass each, for every n <= 40 (Newton's doubling took 6).
+    Horner pass each, for every n <= 40.
     """
     guard = n.bit_length() + 16
     precisions = [t + guard]
     # p // 3 + guard < p exactly when p > 1.5 guard, so a floor above that
-    # ends the list; at a floor of guard + 8 it would stall at about 1.5 guard
+    # ends the list; at a floor of guard + 8 it would stall at about 1.5 guard.
+    # The list changes only the guess, which `_proved_cell` proves or rejects,
+    # so `>=` here changes no output
     while precisions[-1] > 3 * guard:
         precisions.append(precisions[-1] // 3 + guard)
     s = precisions[-1]
     m = _kerman_start(n, k, s)
-    scale = (2 * n * binomial_coeff(n - 1, k - 1)) << guard
+    scale = (2 * n * math.comb(n - 1, k - 1)) << guard
     for p in [s] + precisions[::-1]:
         m, s = min(max(m << (p - s), 1), (1 << p) - 1), p
         m = _halley_step(poly, n, k, m, s, guard, scale)
@@ -416,7 +429,7 @@ def _bisect(poly: IntPolynomial, n: int, k: int, width: Fraction) -> RootEnclosu
         sign = _sign_at(poly, mid, t)
         if sign == 0:
             return ExactRoot(Fraction(mid, 1 << t))
-        lo = mid if sign > 0 else 2 * lo
+        lo = mid if sign > 0 else 2 * lo  # sign is not 0 here, so `>=` is the same
     return Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
 
 
@@ -434,11 +447,7 @@ def isolate_root(
     endpoint check, constant coefficient 1 and P(1) = -1, or
     FalsificationError is raised as for a built polynomial.
     """
-    if not isinstance(width, Fraction):
-        width = Fraction(width)
-    if width.numerator <= 0:
-        raise ValueError("width must be positive")
-    return _bisect(_checked_poly(n, k, poly), n, k, width)
+    return _bisect(_checked_poly(n, k, poly), n, k, _checked_width(width))
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +590,7 @@ def _certificates(
     and shared.  P_{n,k} is polys[k-1] where `polys` is given, else
     critical_poly(n, k), built once per call at most.
     """
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
+    width = _checked_width(width)
     if n < 1:
         raise ValueError("n must be positive")
     if polys is not None and len(polys) != n:

@@ -16,12 +16,13 @@ F(k; n, a/b) = 1 - F(n - k - 1; n, c/b).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice, repeat
 
 from ._record import Record, set_field
-from .rational import as_exact, binomial_coeff
+from .rational import as_exact
 
 __all__ = [
     "ParameterError",
@@ -81,7 +82,7 @@ def pmf(k: int, params: BinomialParams) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     a, b = p.numerator, p.denominator
-    return Fraction(binomial_coeff(n, k) * a**k * (b - a) ** (n - k), b**n)
+    return Fraction(math.comb(n, k) * a**k * (b - a) ** (n - k), b**n)
 
 
 def pmf_sequence(params: BinomialParams) -> Iterator[Fraction]:

@@ -4,13 +4,12 @@ All probabilities, roots, and enclosure endpoints in this package are
 `fractions.Fraction` values, which are always kept in canonical form
 (positive denominator, gcd(|num|, den) = 1, zero as 0/1).  This module adds
 the pieces Fraction does not ship with: strict coercion and parsing of
-the "num/den" wire form, total binomial coefficients, and exact decimal
-rendering that never invents digits.
+the "num/den" wire form, and exact decimal rendering that never invents
+digits.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "as_exact",
-    "binomial_coeff",
     "decimal_string",
     "shared_prefix_decimal",
 ]
@@ -67,15 +65,6 @@ def as_exact(x: Fraction | int) -> Fraction:
     if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
         raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__}")
     return Fraction(x)
-
-
-def binomial_coeff(n: int, k: int) -> int:
-    """C(n, k) for n >= 0, total in k: zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def _fixed_point(q: int, d: int) -> str:

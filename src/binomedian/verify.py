@@ -436,13 +436,11 @@ def verify_theorem(
     so the first counterexample reported is always the smallest-n one.
     A worker process that dies under `threads` > 1 raises WorkerError.
     """
-    width = Fraction(width)
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if denom_max < 1:
         raise ValueError("denom_max must be positive")
-    if width <= 0:
-        raise ValueError("width must be positive")
+    width = critical._checked_width(width)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
     if threads < 1:

@@ -45,14 +45,6 @@ from binomedian.rational import decimal_string, format_rational
 HALF = Fraction(1, 2)
 
 
-def pascal_row(n: int) -> list[int]:
-    """Row n of Pascal's triangle, built purely by the addition recurrence."""
-    row = [1]
-    for _ in range(n):
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return row
-
-
 class Masses(NamedTuple):
     """A finite distribution as increasing support points and their masses;
     nothing checks that the masses are positive or sum to 1."""

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -58,22 +59,11 @@ class TestMedian:
         assert code == 0
         assert json.loads(out) == {"type": "unique", "m": "1/1"}
 
-    def test_p_out_of_range(self, capsys):
-        code, out, err = run_cli(capsys, "median", "--n", "4", "--p", "5/3")
-        assert code == 2
-        assert out == ""
-        assert err == "error: p out of range\n"
-
     def test_malformed_p(self, capsys):
         code, out, err = run_cli(capsys, "median", "--n", "4", "--p", "0.5")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_negative_n(self, capsys):
-        code, _, err = run_cli(capsys, "median", "--n", "-1", "--p", "1/2")
-        assert code == 2
-        assert err == "error: n must be >= 0\n"
 
 
 class TestPointValues:
@@ -129,11 +119,6 @@ class TestCritical:
         code, out, _ = run_cli(capsys, "critical", "--n", "3", "--k", "2")
         assert code == 0
         assert json.loads(out) == {"type": "exact", "root": "1/2"}
-
-    def test_k_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "critical", "--n", "2", "--k", "3")
-        assert code == 2
-        assert err == "error: k out of range\n"
 
 
 class TestCertify:
@@ -313,6 +298,45 @@ def test_cli_launch_without_site_leaves_typing_unloaded():
 
 
 class TestUsageErrors:
+    # each range is checked by the library function that does the work
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (("median", "--n", "4", "--p", "5/3"), "p must lie in [0, 1], got 5/3"),
+            (("median", "--n", "-1", "--p", "1/2"), "n must be a nonnegative integer, got -1"),
+            (("pmf", "--n", "-1", "--k", "0", "--p", "1/2"), "n must be a nonnegative integer, got -1"),
+            (("cdf", "--n", "-1", "--k", "0", "--p", "1/2"), "n must be a nonnegative integer, got -1"),
+            (("critical", "--n", "2", "--k", "3"), "k must lie in [1, 2], got 3"),
+            (("certify", "--n", "2", "--k", "3"), "k must lie in [1, 2], got 3"),
+            (("critical", "--n", "0", "--k", "1"), "n must be positive"),
+            (("certify", "--n", "0", "--k", "1"), "n must be positive"),
+            (("verify", "--n-max", "0"), "n_max must be positive"),
+            (("verify", "--n-max", "3", "--denom-max", "0"), "denom_max must be positive"),
+        ],
+        ids=[
+            "median-p", "median-n", "pmf-n", "cdf-n", "critical-k", "certify-k",
+            "critical-n", "certify-n", "verify-n-max", "verify-denom-max",
+        ],
+    )
+    def test_out_of_range_is_the_library_line(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("critical", "--n", "1000000000", "--k", "0"),
+            ("certify", "--n", "1000000000", "--k", "1000000001"),
+            ("median", "--n", "1000000000", "--p", "3/2"),
+        ],
+        ids=["critical-k", "certify-k", "median-p"],
+    )
+    def test_out_of_range_fails_before_the_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
@@ -394,12 +418,13 @@ class TestThreadCap:
     @pytest.mark.parametrize("command", ["table", "verify"])
     @pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, [])], ids=["three_cpus", "one_cpu"])
     def test_workers_capped_at_cpu_count(self, capsys, monkeypatch, command, cpus, pools):
-        record = self._serial_pools(monkeypatch, cpus)
-        code, out, _ = run_cli(capsys, command, "--n-max", "6", "--threads", str(10**9))
-        _, serial, _ = run_cli(capsys, command, "--n-max", "6")
-        assert code == 0
-        assert out == serial
-        assert record == pools
+        for threads in (str(10**9), "auto"):
+            record = self._serial_pools(monkeypatch, cpus)
+            code, out, _ = run_cli(capsys, command, "--n-max", "6", "--threads", threads)
+            _, serial, _ = run_cli(capsys, command, "--n-max", "6")
+            assert code == 0, threads
+            assert out == serial, threads
+            assert record == pools, threads
 
 
 @needs_pool

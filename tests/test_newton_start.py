@@ -12,6 +12,7 @@ guards do the same for a slide back to a slower start.
 
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from binomedian import cli, critical, verify
 from binomedian.critical import Bracket, ExactRoot, isolate_root
 from binomedian.polynomial import IntPolynomial
-from binomedian.rational import binomial_coeff
 from helpers import HALF, bisection_enclose, fraction_steps_for
 
 ORACLE_WIDTHS = [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**35)]
@@ -120,7 +120,7 @@ def half_margin(n, k, j, t):
 def step_args(n, k, s):
     """`_halley_step`'s arguments after m: the scale, guard and derivative constant."""
     guard = n.bit_length() + 16
-    return s, guard, (2 * n * binomial_coeff(n - 1, k - 1)) << guard
+    return s, guard, (2 * n * comb(n - 1, k - 1)) << guard
 
 
 @pytest.mark.parametrize("width", ORACLE_WIDTHS, ids=ORACLE_IDS)

@@ -9,13 +9,12 @@ from binomedian.rational import (
     RationalParseError,
     ZeroDenominatorError,
     as_exact,
-    binomial_coeff,
     decimal_string,
     format_rational,
     parse_rational,
     shared_prefix_decimal,
 )
-from helpers import fraction_decimal_string, fraction_shared_prefix_decimal, pascal_row
+from helpers import fraction_decimal_string, fraction_shared_prefix_decimal
 
 # every a/b with b < 200 and a <= 2b: terminating expansions and ties
 # (b dividing 2 * 10**digits) included
@@ -107,50 +106,6 @@ class TestAsExact:
             as_exact(0.5)
         with pytest.raises(TypeError):
             as_exact(True)
-
-
-class TestBinomialCoeff:
-    def test_small(self):
-        assert binomial_coeff(5, 2) == 10
-
-    def test_left_edge(self):
-        for n in (0, 1, 7, 100):
-            assert binomial_coeff(n, 0) == 1
-
-    def test_against_pascal_oracle(self):
-        row = pascal_row(30)
-        assert row[15] == 155117520
-        assert binomial_coeff(30, 15) == row[15]
-        for k, expected in enumerate(row):
-            assert binomial_coeff(30, k) == expected
-
-    def test_out_of_range_is_zero(self):
-        assert binomial_coeff(5, -1) == 0
-        assert binomial_coeff(5, 6) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_coeff(-1, 0)
-
-    def test_pascal_identity_exhaustive(self):
-        for n in range(1, 101):
-            for k in range(1, n):
-                assert binomial_coeff(n, k) == binomial_coeff(n - 1, k - 1) + binomial_coeff(n - 1, k)
-
-    def test_symmetry(self):
-        for n in range(0, 101):
-            for k in range(n + 1):
-                assert binomial_coeff(n, k) == binomial_coeff(n, n - k)
-
-    def test_absorption_identities(self):
-        # C(n,i+1)(i+1) = C(n,i)(n-i) = C(n-1,i) n, the telescoping engine
-        # behind the CDF derivative
-        for n in range(1, 101):
-            for i in range(n):
-                left = binomial_coeff(n, i + 1) * (i + 1)
-                middle = binomial_coeff(n, i) * (n - i)
-                right = binomial_coeff(n - 1, i) * n
-                assert left == middle == right
 
 
 class TestDecimalString:
