@@ -215,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "critical",
         help="certified enclosure of one critical probability",
-        description="Cost, measured: grows about like n^1.6 in n (1000 to 8000, "
-        "mostly the Halley start's derivative powers) and D^1.5 in the digit "
-        "count D (800 to 6400).",
+        description="Cost, measured: grows about like n^1.5 in n (1000 to 8000, "
+        "mostly fixed-point Horner passes) and D^1.4 in the digit count D "
+        "(800 to 6400).",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

@@ -266,24 +266,22 @@ def _sign_at(poly: IntPolynomial, m: int, t: int) -> int:
     return (value > 0) - (value < 0)
 
 
-#: A Halley step at a scale below this many bits multiplies and divides
-#: exactly; at or above it, `_halley_step` cuts its operands to the bits the
-#: step needs.  Cutting costs a fixed dozen integer operations and saves time
-#: that grows with the square of the scale: interleaved timings on CPython
-#: 3.11 put the break-even near 1,300 bits at n = 2 and 400 bits at n = 60.
-_CUT_BITS = 1024
+def _power_top(base: int, e: int, bits: int) -> tuple[int, int]:
+    """(v, r) with base^e (1 - e 2^(2-bits)) <= v 2^r <= base^e, for base >= 0.
 
-
-def _quotient(a: int, b: int, guard: int) -> int:
-    """a // b or one off it, for b > 0 and guard >= 3, from the top bits of a and b.
-
-    Both drop r low bits, where b >> r keeps `guard` bits more than the
-    quotient has, so the cut quotient is within 2^(3 - guard) of a / b before
-    the floor.  CPython's division takes time (quotient bits) x (divisor
-    bits), so the cost follows the quotient's length alone.
+    Left-to-right binary powering that keeps the top `bits` bits after each
+    step's product.  Each cut drops less than 2^(1-bits) of the value, and
+    squaring doubles the deficit carried in, so after the bits of e the
+    deficit is at most (2e - 1) 2^(1-bits).  e = 0 gives (1, 0).
     """
-    r = max(b.bit_length() - max(abs(a).bit_length() - b.bit_length(), 0) - guard, 0)
-    return (a >> r) // (b >> r)
+    v, r = 1, 0
+    for bit in bin(e)[2:]:
+        v, r = v * v, 2 * r
+        if bit == "1":
+            v *= base
+        cut = max(v.bit_length() - bits, 0)
+        v, r = v >> cut, r + cut
+    return v, r
 
 
 def _halley_step(
@@ -296,33 +294,25 @@ def _halley_step(
     and V = `_horner_floor` at q = s + guard bits, Newton's increment is
     d = V 2^(s*(n-1)) / (D 2^guard).  P' is a Beta(k, n-k+1) density times a
     constant, so P''/P' = (k-1)/x - (n-k)/(1-x), and Halley's increment
-    d / (1 + d P''/(2 P')) is d 2my / (2my + d c) = d - d^2 c / (2my + d c) with
-    c = (k-1) y - (n-k) m: no further evaluation.  Where 2my + d c is not
-    positive, the step is Newton's d.
+    d / (1 + d P''/(2 P')) is d 2my / (2my + d c) with c = (k-1) y - (n-k) m:
+    no further evaluation.  Where 2my + d c is not positive, the step is
+    Newton's d.
 
-    From `_CUT_BITS` on, d comes from `_quotient`, and the correction
-    d^2 c / (2my + d c), about 2 bits(d) - s bits long, from d, m and y cut to
-    that many bits plus 2 guard: each is then off by a few units of 2^-s.
+    The powers m^(k-1) and y^(n-k), about s n bits together, come from
+    `_power_top` at s + 2 guard bits, so D is low by a relative n 2^(2-s-2 guard)
+    at most, and d is within one unit of the exact quotient wherever
+    |d| < 2^(s + guard).  A cut power keeps `bits` bits and is below 2^(s e),
+    so it drops at most s e - bits: the shift of V is never negative.  The
+    step gives only a guess, which `_proved_cell`'s signs prove or reject.
     """
     value = _horner_floor(poly, m, s, s + guard)
     y = (1 << s) - m
-    num, den = value << s * (n - 1), scale * m ** (k - 1) * y ** (n - k)
-    # either branch gives a guess; `_proved_cell`'s signs prove or reject it,
-    # and bisection reaches the same cell, so `<=` here changes no output
-    if s < _CUT_BITS:
-        d = num // den
-        two_xy = 2 * m * y
-        den = two_xy + d * ((k - 1) * y - (n - k) * m)
-        return m + (d * two_xy // den if den > 0 else d)
-    d = _quotient(num, den, guard)
-    keep = max(2 * abs(d).bit_length() - s, 0) + 2 * guard
-    a, b = max(abs(d).bit_length() - keep, 0), max(s - keep, 0)
-    d_cut, m_cut, y_cut = d >> a, m >> b, y >> b
-    u = d_cut * ((k - 1) * y_cut - (n - k) * m_cut)
-    den = (2 * m_cut * y_cut << b) + (u << a)
-    if den <= 0:
-        return m + d
-    return m + d - _quotient(d_cut * u << 2 * a, den, guard)
+    bits = s + 2 * guard
+    (a, ra), (b, rb) = _power_top(m, k - 1, bits), _power_top(y, n - k, bits)
+    d = (value << s * (n - 1) - ra - rb) // (scale * a * b)
+    two_xy = 2 * m * y
+    den = two_xy + d * ((k - 1) * y - (n - k) * m)
+    return m + (d * two_xy // den if den > 0 else d)
 
 
 def _kerman_start(n: int, k: int, t: int) -> int:

@@ -10,9 +10,9 @@ polynomial products, -P(1 - x) also from a Taylor shift, the battery's
 identity verdicts from one O(n^2) walk over the binomial terms, enclosures from
 a bisection that carries both ends and tests the gap as a Fraction or that starts
 from [0, 1] without a Newton guess and with its step count from a Fraction
-1 / width, `table` rows from one `isolate_root`
-call per k, the battery's ordering verdict from enclosures at the requested
-width alone, binomial masses, CDFs and medians from a chain of Fraction
+1 / width, Halley steps from the derivative's exact powers, `table` rows from
+one `isolate_root` call per k, the battery's ordering verdict from enclosures
+at the requested width alone, binomial masses, CDFs and medians from a chain of Fraction
 mass ratios, polynomial values from a Fraction Horner loop, and decimal
 renderings from Fraction products.  Two oracles use floating point:
 `mc_median_check`, an empirical median from seeded samples, and
@@ -35,6 +35,7 @@ from binomedian.critical import (
     ExactRoot,
     FalsificationError,
     _checked_poly,
+    _horner_floor,
     isolate_root,
 )
 from binomedian.distribution import BinomialParams, binomial_weights
@@ -393,6 +394,20 @@ def bisection_enclose(n: int, k: int, width: Fraction, poly=None):
             return ExactRoot(Fraction(mid, 1 << t))
         lo = mid if sign > 0 else 2 * lo
     return Bracket(Fraction(lo, 1 << t), Fraction(lo + 1, 1 << t))
+
+
+def exact_halley_step(
+    poly: IntPolynomial, n: int, k: int, m: int, s: int, guard: int, scale: int
+) -> int:
+    """`critical._halley_step` with D = 2n C(n-1,k-1) m^(k-1) y^(n-k) multiplied
+    out exactly, an integer of about s n bits, in place of its cut powers."""
+    value = _horner_floor(poly, m, s, s + guard)
+    y = (1 << s) - m
+    num, den = value << s * (n - 1), scale * m ** (k - 1) * y ** (n - k)
+    d = num // den
+    two_xy = 2 * m * y
+    den = two_xy + d * ((k - 1) * y - (n - k) * m)
+    return m + (d * two_xy // den if den > 0 else d)
 
 
 def fine_monotonicity(n: int, width: Fraction) -> tuple[int, str | None]:

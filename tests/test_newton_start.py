@@ -21,12 +21,13 @@ from hypothesis import strategies as st
 from binomedian import cli, critical, verify
 from binomedian.critical import Bracket, ExactRoot, isolate_root
 from binomedian.polynomial import IntPolynomial
-from helpers import HALF, bisection_enclose, fraction_steps_for
+from helpers import HALF, bisection_enclose, exact_halley_step, fraction_steps_for
 
 ORACLE_WIDTHS = [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**35)]
 ORACLE_IDS = ["1/2", "1e-6", "1e-35"]
-# one scale where `_halley_step` works exactly and one where it cuts operands
-STEP_SCALES = [64, 2 * critical._CUT_BITS]
+# a small scale and a large one; the ids stay `exact` and `cut` so that the
+# step tests keep their names
+STEP_SCALES = [64, 2048]
 
 
 @pytest.fixture
@@ -147,7 +148,7 @@ def test_without_newton_outputs_are_unchanged(monkeypatch, capsys):
         ["critical", "--n", "50", "--k", "30", "--digits", "60"],
         ["critical", "--n", "9", "--k", "5"],
         ["certify", "--n", "30", "--k", "10"],
-        # the odd middle, and a root that runs the deepest schedule with cut operands
+        # the odd middle, and a root whose start steps at thousands of bits
         ["critical", "--n", "7", "--k", "4", "--digits", "1000"],
         ["critical", "--n", "7", "--k", "3", "--digits", "1000"],
         ["verify", "--n-max", "12", "--seed", "3"],
@@ -197,12 +198,10 @@ def test_no_fallback_at_larger_n(n):
     assert_cells_proved([n], sorted({*range(0, 61, 10), 6, 35}))
 
 
-def test_no_fallback_with_cut_operands(monkeypatch):
-    # by default only scales of `_CUT_BITS` or more (about 300 digits) cut
-    # their operands; with the threshold at 0 every step does
+def test_no_fallback_at_deep_digits():
+    # steps at scales of thousands of bits, where `_power_top` cuts most of
+    # each derivative power
     assert_cells_proved(range(1, 13), range(100, 1300, 150))
-    monkeypatch.setattr(critical, "_CUT_BITS", 0)
-    assert_cells_proved(range(1, 41), range(0, 61, 4))
 
 
 def test_horner_passes_per_root(horner_count):
@@ -247,33 +246,44 @@ def test_step_is_newtons_where_halleys_denominator_is_not_positive(monkeypatch, 
         den = 2 * m * y + d * ((k - 1) * y - (n - k) * m)
         assert (den > 0) - (den < 0) == den_sign
         new = critical._halley_step(critical._checked_poly(n, k), n, k, m, s, guard, scale)
-        # the cut path's quotient is within one unit of the floor
-        assert abs(new - (m + d)) <= (1 if s >= critical._CUT_BITS else 0), value
+        # y is a power of two here, so `_power_top` cuts only zero bits
+        assert new == m + d, value
 
 
-def test_cut_step_is_within_a_few_units_of_the_exact_step(monkeypatch):
+def test_step_is_within_a_few_units_of_the_exact_step():
     # from points as far off as each step's input: one third of the bits right
-    for n, k in [(2, 1), (5, 2), (7, 7), (40, 27), (300, 1), (300, 151)]:
+    nks = [(2, 1), (5, 2), (7, 7), (40, 27), (300, 1), (300, 151), (1000, 600), (4000, 1)]
+    for n, k in nks:
         poly = critical._checked_poly(n, k)
-        for s in (700, 2000):
+        for s in (64, 200, 700, 2000):
             root = critical._newton_cell(poly, n, k, s)
             for offset in (-(1 << (2 * s // 3)), 1 << (s // 2), 1 << (s // 3), 1):
                 m = root + offset
-                monkeypatch.setattr(critical, "_CUT_BITS", 0)
-                cut = critical._halley_step(poly, n, k, m, *step_args(n, k, s))
-                monkeypatch.setattr(critical, "_CUT_BITS", s + 1)
-                exact = critical._halley_step(poly, n, k, m, *step_args(n, k, s))
-                assert abs(cut - exact) <= 3, (n, k, s, offset, cut - exact)
+                args = (poly, n, k, m, *step_args(n, k, s))
+                step, exact = critical._halley_step(*args), exact_halley_step(*args)
+                assert abs(step - exact) <= 3, (n, k, s, offset, step - exact)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    a=st.integers(0, 4000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)),
-    b=st.integers(0, 3000).flatmap(lambda bits: st.integers(1, 2**bits)),
-    guard=st.integers(3, 40),
+    base=st.integers(0, 300).flatmap(lambda s: st.integers(0, (1 << s) - 1)),
+    e=st.integers(0, 3000),
+    bits=st.integers(8, 400),
 )
-def test_quotient_is_within_one_of_floor_division(a, b, guard):
-    assert abs(critical._quotient(a, b, guard) - a // b) <= 1
+def test_power_top_is_within_its_bound_below_the_power(base, e, bits):
+    v, r = critical._power_top(base, e, bits)
+    power = base**e
+    # base^e (1 - e 2^(2-bits)) <= v 2^r, in integers: v 2^r is one, so the
+    # floor of the bound's subtrahend gives the same test
+    assert power - (power * e >> bits - 2) <= v << r <= power
+
+
+def test_power_top_at_exponents_zero_and_one():
+    for base in (0, 1, 5, (1 << 300) - 1):
+        assert critical._power_top(base, 0, 8) == (1, 0)
+    # e = 1 is the base, cut to its top `bits` bits
+    assert critical._power_top(200, 1, 8) == (200, 0)
+    assert critical._power_top(0b1011011101, 1, 8) == (0b10110111, 2)
 
 
 @pytest.mark.parametrize(

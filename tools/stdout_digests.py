@@ -3,7 +3,7 @@
     python3 tools/stdout_digests.py > digests.txt
 
 Run from the root of a checkout: `binomedian` is imported from ./src and
-the `queries` request lists from ./perfbench/workloads.py, so the same
+the `queries` and `deep` request lists from ./perfbench/workloads.py, so the same
 script run in two checkouts prints two files whose `diff` names every argv
 whose stdout or exit code changed.  Each request runs in-process through
 `binomedian.cli.main`; stderr is discarded, since it carries timings.
@@ -28,6 +28,15 @@ FIXED = [
     ["table", "--n-max", "25", "--format", "json", "--digits", "8"],
     ["table", "--n-max", "12", "--threads", "auto"],
     ["critical", "--n", "100", "--k", "60", "--digits", "400"],
+    # the Halley start at large n, at its extreme indices, and at thousands of digits
+    *[["critical", "--n", str(n), "--k", str(3 * n // 5)] for n in (1000, 4000, 16000)],
+    *[["critical", "--n", "4000", "--k", str(k)] for k in (1, 2, 3999, 4000)],
+    *[
+        ["critical", "--n", n, "--k", k, "--digits", "3200"]
+        for n, k in [("2", "1"), ("4", "1"), ("7", "3"), ("100", "60")]
+    ],
+    ["table", "--n-max", "60", "--digits", "60", "--format", "json"],
+    ["certify", "--n", "16000", "--k", "800"],
     ["certify", "--n", "70", "--k", "50"],
     ["certify", "--n", "70", "--k", "10"],
     # out-of-range inputs: exit 2 with empty stdout
@@ -42,7 +51,7 @@ FIXED = [
     ["verify", "--n-max", "0"],
     ["verify", "--n-max", "3", "--denom-max", "0"],
 ]
-QUERY_SEEDS = (7, 8)
+SEEDS = (7, 8)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -56,7 +65,12 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def main() -> None:
-    argvs = FIXED + [argv for seed in QUERY_SEEDS for argv in requests("queries", seed)]
+    argvs = FIXED + [
+        argv
+        for workload in ("queries", "deep")
+        for seed in SEEDS
+        for argv in requests(workload, seed)
+    ]
     total = hashlib.sha256()
     for argv in argvs:
         code, out = run(argv)
