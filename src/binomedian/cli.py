@@ -8,15 +8,21 @@ dead worker process (`ordered_map` raises `verify.WorkerError`).  `table`
 prints each certificate's enclosure, bisected when printed; a lower
 row reflects its partner's, so only the upper half is.
 
-A launch imports only what its command runs: `--threads` > 1 loads the
+A launch imports only what its command runs.  `median`, `cdf` and `pmf`
+load `distribution`, `median` and `rational`; the handlers of `critical` and
+`certify` import `critical` (with `polynomial`), and those of `table` and
+`verify` import `verify` as well, when they run.  `--threads` > 1 loads the
 process pool inside `ordered_map`, `verify` loads `hashlib` for its seeded
 streams, and `table` loads `csv`.  Besides the package, every launch loads
 `argparse`, `json` and `fractions` with their own imports, and nothing else:
 the records are plain frozen classes, so neither `dataclasses` (with
-`inspect`, `ast`, `dis` and `tokenize`) nor `typing` is loaded.  A launch is
-ready to parse in about 64 ms without bytecode caches and 53 ms with them
-(medians of 30 alternating launches of the benchmark's set-up probe, 2-core
-Intel Xeon, CPython 3.11.7).
+`inspect`, `ast`, `dis` and `tokenize`) nor `typing` is loaded.  Fresh
+launches run to exit in these medians of 40 alternating launches by
+tools/launch_times.py (2-core Intel Xeon, CPython 3.11.7), without bytecode
+caches and with them: `median` 72 and 53 ms, `cdf` 77 and 54, `pmf` 64 and
+58, `critical` 75 and 60, `certify` 65 and 61, `table --n-max 20` 78 and
+73, `verify --n-max 28` 93 and 105.  The host's speed drifts by about 15%
+between such runs, which is more than the caches save on `verify`.
 
 Each input is checked once, before any work, by the library function that
 uses it; its ValueError prints as one `error:` line with exit 2.  Only
@@ -31,11 +37,19 @@ import json
 import sys
 from fractions import Fraction
 
-from .critical import ExactRoot, certify, certify_range, isolate_root
+from . import _lazy_namespace
 from .distribution import BinomialParams, cdf, pmf
 from .median import median_binomial
 from .rational import decimal_string, format_rational, parse_rational
-from .verify import WorkerError, ordered_map, verify_theorem
+
+# `critical` and `verify` load when a command that runs them does
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "critical": ("ExactRoot", "certify", "certify_range", "isolate_root"),
+        "verify": ("WorkerError", "ordered_map", "verify_theorem"),
+    },
+)
 
 DEFAULT_DIGITS = 30
 
@@ -97,6 +111,8 @@ def cmd_cdf(args: argparse.Namespace) -> int:
 
 
 def cmd_critical(args: argparse.Namespace) -> int:
+    from .critical import isolate_root
+
     digits = _check_digits(args.digits)
     enclosure = isolate_root(args.n, args.k, _width_for(digits))
     _emit(enclosure.to_json_dict(digits))
@@ -104,6 +120,8 @@ def cmd_critical(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .critical import certify
+
     certificate = certify(args.n, args.k)
     _emit(certificate.to_json_dict(DEFAULT_DIGITS))
     return 0
@@ -113,6 +131,8 @@ _TABLE_COLUMNS = ("n", "k", "kind", "value", "lo", "hi", "decimal")
 
 
 def _table_rows_for_n(task: tuple[int, Fraction, int]) -> list[dict]:
+    from .critical import ExactRoot, certify_range
+
     n, width, digits = task
     rows = []
     for cert in certify_range(n, width):
@@ -135,6 +155,8 @@ def _table_rows_for_n(task: tuple[int, Fraction, int]) -> list[dict]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .verify import ordered_map
+
     if args.n_max < 1:
         raise CliError("n-max must be >= 1")
     digits = _check_digits(args.digits)
@@ -156,6 +178,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify_theorem
+
     digits = _check_digits(args.digits)
     threads = _thread_count(args.threads)
     report = verify_theorem(
@@ -270,6 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_errors() -> tuple[type[Exception], ...]:
+    # only `ordered_map` raises WorkerError, so it exists once `verify` is loaded
+    verify = sys.modules.get(f"{__package__}.verify")
+    return (CliError, ValueError) if verify is None else (CliError, ValueError, verify.WorkerError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -279,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (CliError, ValueError, WorkerError) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -200,7 +200,6 @@ class TestTable:
         def forbidden(*args):
             raise AssertionError("table called isolate_root")
 
-        monkeypatch.setattr(cli, "isolate_root", forbidden)
         monkeypatch.setattr(critical, "isolate_root", forbidden)
         code, _, err = run_cli(capsys, "table", "--n-max", "5")
         assert (code, err) == (0, "")
@@ -245,7 +244,7 @@ class TestVerify:
             checks=(CheckResult("certificates", 1, False, "n=1 synthetic"),),
             wall_time=0.0,
         )
-        monkeypatch.setattr(cli, "verify_theorem", lambda *a, **kw: failing)
+        monkeypatch.setattr(verify, "verify_theorem", lambda *a, **kw: failing)
         code, out, _ = run_cli(capsys, "verify", "--n-max", "1")
         assert code == 1
         assert json.loads(out)["passed"] is False
@@ -269,10 +268,13 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
-# `dataclasses` would load the last four; the records are built without it
+# the root finding and the battery: no `median`, `cdf` or `pmf` launch runs them
+ROOT_MODULES = ("binomedian.critical", "binomedian.verify", "binomedian.polynomial")
+
+# `dataclasses` would load the middle four; the records are built without it
 LAUNCH_UNLOADED = (
     "concurrent.futures.process", "multiprocessing", "hashlib",
-    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    "dataclasses", "inspect", "ast", "dis", "tokenize", *ROOT_MODULES,
 )
 
 
@@ -295,6 +297,83 @@ def test_cli_launch_leaves_pool_and_hashlib_unloaded():
 def test_cli_launch_without_site_leaves_typing_unloaded():
     # site's .pth hooks may load `typing` themselves; -S leaves only the launch
     assert loaded_at_launch("-S", modules=(*LAUNCH_UNLOADED, "typing")) == "[]\n"
+
+
+def imported_by_launch(*argv):
+    """Every module loaded once a fresh launch of `binomedian *argv` has run
+    to its exit, run as `python -m` runs it.  (`-X importtime` would not do:
+    it does not report a submodule imported by `from . import name`.)"""
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv[1:] = {list(argv)!r}\n"
+        "try:\n"
+        "    runpy.run_module('binomedian', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("median", "--n", "1000", "--p", "37/101"),
+        ("cdf", "--n", "50", "--k", "20", "--p", "2/5"),
+        ("pmf", "--n", "50", "--k", "20", "--p", "2/5"),
+    ],
+    ids=["median", "cdf", "pmf"],
+)
+def test_scan_launch_loads_no_root_modules(argv):
+    modules = imported_by_launch(*argv)
+    assert "binomedian.median" in modules
+    assert modules.isdisjoint(ROOT_MODULES)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("critical", "--n", "9", "--k", "5"), ("certify", "--n", "9", "--k", "5")],
+    ids=["critical", "certify"],
+)
+def test_root_launch_leaves_the_battery_unloaded(argv):
+    modules = imported_by_launch(*argv)
+    assert "binomedian.critical" in modules
+    assert "binomedian.verify" not in modules
+
+
+def _error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+# in-process runs share one module state, so only a fresh launch shows an
+# import that a command makes when it runs
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("median", "--n", "9", "--p", "2/5"),
+        ("cdf", "--n", "9", "--k", "3", "--p", "2/5"),
+        ("pmf", "--n", "9", "--k", "3", "--p", "2/5"),
+        ("critical", "--n", "9", "--k", "5"),
+        ("certify", "--n", "9", "--k", "5"),
+        ("table", "--n-max", "4", "--format", "json"),
+        ("verify", "--n-max", "3", "--denom-max", "20", "--seed", "4"),
+        ("critical", "--n", "2", "--k", "3"),
+        ("certify", "--n", "0", "--k", "1"),
+        ("table", "--n-max", "0"),
+        ("verify", "--n-max", "3", "--denom-max", "0"),
+    ],
+    ids=[
+        "median", "cdf", "pmf", "critical", "certify", "table", "verify",
+        "critical-k", "certify-n", "table-n-max", "verify-denom-max",
+    ],
+)
+def test_fresh_launch_matches_in_process(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    alone = run_python("-m", "binomedian", *argv)
+    assert (alone.returncode, alone.stdout) == (code, out)
+    assert _error_lines(alone.stderr) == _error_lines(err)
 
 
 class TestUsageErrors:
