@@ -9,11 +9,20 @@ irrational (or exactly 1/2 at the odd middle index).
 The package namespace is lazy (PEP 562): `import binomedian` loads no
 submodule, and each name below is read from the submodule that owns it
 when it is used, so a launch loads only what its command runs.
+
+`WorkerError` is the one name the package defines itself.  `verify` raises
+it and `cli` catches it, and every launch loads the package, so `cli` can
+name it without loading `verify`.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+
+class WorkerError(RuntimeError):
+    """A worker process of `verify.ordered_map` died before returning its results."""
+
 
 _EXPORTS = {
     "critical": (
@@ -43,10 +52,10 @@ _EXPORTS = {
         "parse_rational",
         "shared_prefix_decimal",
     ),
-    "verify": ("CheckResult", "VerificationReport", "WorkerError", "verify_theorem"),
+    "verify": ("CheckResult", "VerificationReport", "verify_theorem"),
 }
 
-__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__ = ["WorkerError", *(name for names in _EXPORTS.values() for name in names)]
 
 
 def _lazy_namespace(namespace: dict, exports: dict, submodules: tuple = ()):

@@ -4,7 +4,7 @@ irrationality certificates, and the verification battery.
 Every subcommand writes a single JSON document (or CSV body) to stdout;
 diagnostics go to stderr only.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error or a
-dead worker process (`ordered_map` raises `verify.WorkerError`).  `table`
+dead worker process (`binomedian.WorkerError`).  `table`
 prints each certificate's enclosure, bisected when printed; a lower
 row reflects its partner's, so only the upper half is.
 
@@ -37,19 +37,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import _lazy_namespace
+from . import WorkerError, _lazy_namespace
 from .distribution import BinomialParams, cdf, pmf
 from .median import median_binomial
 from .rational import decimal_string, format_rational, parse_rational
 
-# `critical` and `verify` load when a command that runs them does
-__getattr__, __dir__ = _lazy_namespace(
-    globals(),
-    {
-        "critical": ("ExactRoot", "certify", "certify_range", "isolate_root"),
-        "verify": ("WorkerError", "ordered_map", "verify_theorem"),
-    },
-)
+# `critical` loads when a command that runs it does; `cli.isolate_root` has one
+# reader, perfbench/test_perfbench.py::TestTracer::test_uninstall_restores_bindings
+__getattr__, __dir__ = _lazy_namespace(globals(), {"critical": ("isolate_root",)})
 
 DEFAULT_DIGITS = 30
 
@@ -294,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_errors() -> tuple[type[Exception], ...]:
-    # only `ordered_map` raises WorkerError, so it exists once `verify` is loaded
-    verify = sys.modules.get(f"{__package__}.verify")
-    return (CliError, ValueError) if verify is None else (CliError, ValueError, verify.WorkerError)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -309,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except _usage_errors() as exc:
+    except (CliError, ValueError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -14,21 +14,24 @@ where it lies within one cell of the root, and Halley steps from it beyond.
 Signs at m and next to it, three at most, prove the cell (`_proved_cell`):
 at 35 digits 4 Horner passes reach it and 2 signs prove it.  The
 polynomial's coefficients come from the closed form (derived in
-`_cdf_coeffs`) 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so
+`critical_poly`) 1 + 2 * sum_{s=k}^{n} (-1)^(s-k+1) C(n,s) C(s-1,k-1) x^s, so
 the constant coefficient is 1 by construction.
 
-The certificates check the reflection identity, and `verify`'s battery both
-it and the derivative identity, on each polynomial's derivative and constant
-term: O(n) per index, with no polynomial arithmetic.  With
-T_m = C(n,m) x^m (1-x)^(n-m), the derivative of B(i-1; n, x) = sum_{m<i} T_m
-telescopes to -n C(n-1,i-1) x^(i-1) (1-x)^(n-i), so
-P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i) (`_derivative`), and with
-P_{n,i}(0) = 1 it fixes P_{n,i} = 2 B(i-1; n, x) - 1, the definition.  By the
-binomial theorem the T_m sum to (x + (1 - x))^n = 1, so that is also
+The identity argument, written here once: with T_m = C(n,m) x^m (1-x)^(n-m),
+the derivative of B(i-1; n, x) = sum_{m<i} T_m telescopes to
+-n C(n-1,i-1) x^(i-1) (1-x)^(n-i), so
+P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i) (`_derivative`), the
+derivative identity, and with P_{n,i}(0) = 1 it fixes
+P_{n,i} = 2 B(i-1; n, x) - 1, the definition.  By the binomial theorem the
+T_m sum to (x + (1 - x))^n = 1, so that is also
 1 - 2 sum_{m>=i} T_m = -(2 B(n-i; n, 1-x) - 1), the reflection
 -P_{n,n-i+1}(1 - x) of the partner's definition.  So a pair {i, n-i+1} whose
-members both pass (`_derivative_matches` and constant 1) reflects, and a
-mirror-consistent pair of wrong polynomials does not pass.
+members both have the right derivative and constant 1 reflects, and a
+mirror-consistent pair of wrong polynomials does not pass.  Each check is
+O(n) per index, with no polynomial arithmetic.  `_identity_faults` gives the
+one verdict: the certificates raise on its pair faults, and `verify`'s
+battery reports both its pair faults (the reflection identity) and its
+derivative faults (the derivative identity).
 
 The irrationality certificates mechanize a three-way case split:
 
@@ -140,24 +143,6 @@ RootEnclosure = ExactRoot | Bracket
 # polynomial construction
 
 
-def _cdf_coeffs(n: int, j: int) -> list[int]:
-    """Coefficients of the full expansion of sum_{i=0}^{j} C(n,i) x^i (1-x)^(n-i),
-    0 <= j <= n, from the closed form 1 + sum_{s=j+1}^{n} (-1)^(s-j) C(n,s) C(s-1,j) x^s.
-
-    The coefficient of x^s is sum_{i<=min(j,s)} (-1)^(s-i) C(n,i) C(n-i,s-i).
-    Since C(n,i) C(n-i,s-i) = C(n,s) C(s,i), it equals
-    (-1)^s C(n,s) sum_{i<=min(j,s)} (-1)^i C(s,i).  For s <= j that sum is
-    (1-1)^s, so the constant is 1 and x^1 .. x^j vanish; for s > j the
-    partial alternating sum is (-1)^j C(s-1,j).  Term s+1 is exactly term s
-    times -(n-s) s / ((s+1)(s-j)): C(n,s)(n-s) = C(n,s+1)(s+1), C(s-1,j) s = C(s,j)(s-j).
-    """
-    coeffs, term = [1] + [0] * j, -math.comb(n, j + 1)
-    for s in range(j + 1, n + 1):
-        coeffs.append(term)
-        term = -term * (n - s) * s // ((s + 1) * (s - j))
-    return coeffs
-
-
 def _check_index(n: int, k: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
@@ -179,10 +164,22 @@ def critical_poly(n: int, k: int) -> IntPolynomial:
 
     Degree is exactly n and the constant coefficient is exactly 1; its
     unique root in (0, 1) is the critical probability for (n, k).
+
+    With j = k - 1, the coefficient of x^s in B(j; n, x) =
+    sum_{i<=j} C(n,i) x^i (1-x)^(n-i) is sum_{i<=min(j,s)} (-1)^(s-i) C(n,i) C(n-i,s-i).
+    Since C(n,i) C(n-i,s-i) = C(n,s) C(s,i), it equals
+    (-1)^s C(n,s) sum_{i<=min(j,s)} (-1)^i C(s,i).  For s <= j that sum is
+    (1-1)^s, so the constant is 1 and x^1 .. x^j vanish; for s > j the
+    partial alternating sum is (-1)^j C(s-1,j).  So P_{n,k} is 1, then k - 1
+    zeros, then the terms 2 (-1)^(s-k+1) C(n,s) C(s-1,k-1) for s = k .. n,
+    from -2 C(n,k).  Term s+1 is exactly term s times
+    -(n-s) s / ((s+1)(s-k+1)): C(n,s)(n-s) = C(n,s+1)(s+1), C(s-1,k-1) s = C(s,k-1)(s-k+1).
     """
     _check_index(n, k)
-    coeffs = [2 * c for c in _cdf_coeffs(n, k - 1)]
-    coeffs[0] -= 1
+    coeffs, term = [1] + [0] * (k - 1), -2 * math.comb(n, k)
+    for s in range(k, n + 1):
+        coeffs.append(term)
+        term = -term * (n - s) * s // ((s + 1) * (s - k + 1))
     return _from_ints(coeffs)
 
 
@@ -204,6 +201,26 @@ def _derivative_matches(poly: IntPolynomial, n: int, k: int) -> bool:
     fixed by its derivative and its constant term."""
     c = poly.coeffs
     return [s * c[s] for s in range(1, len(c))] == _derivative(n, k)
+
+
+def _identity_faults(
+    n: int, members: Iterable[tuple[int, IntPolynomial]]
+) -> tuple[list[int], list[int]]:
+    """The identity verdict on the polynomials `members`, (i, P_{n,i}) pairs.
+
+    Returns (pair faults, derivative faults): min(i, n-i+1), the lower index
+    of i's pair, wherever P's derivative or constant term is wrong, and
+    i - 1 wherever its derivative is wrong.  A pair reflects exactly when
+    neither member is a fault (module docstring).
+    """
+    pair_faults, derivative_faults = [], []
+    for i, poly in members:
+        derivative_ok = _derivative_matches(poly, n, i)
+        if not derivative_ok:
+            derivative_faults.append(i - 1)
+        if not derivative_ok or poly.constant != 1:
+            pair_faults.append(min(i, n - i + 1))
+    return pair_faults, derivative_faults
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +591,9 @@ def _certificates(
     The odd middle index certifies the exact root 1/2; indices above the
     middle get direct upper-half evidence; indices below inherit from
     their partner n-k+1 via the reflection identity, checked once the other
-    facts hold on the derivative and constant term of both members of every
-    such pair, O(n) per member, and reported at the least failing pair's
-    lower index.  Each upper-half certificate is made once per call
-    and shared.  P_{n,k} is polys[k-1] where `polys` is given, else
+    facts hold by `_identity_faults` on both members of every such pair and
+    reported at its least pair fault.  Each upper-half certificate is made
+    once per call and shared.  P_{n,k} is polys[k-1] where `polys` is given, else
     critical_poly(n, k), built once per call at most.
     """
     width = _checked_width(width)
@@ -616,11 +632,7 @@ def _certificates(
             pairs[k], pairs[above] = poly_for(k), cert.status.poly
             cert = IrrationalityCertificate(n, k, IrrationalBySymmetry(above, cert))
         out.append(cert)
-    bad = [
-        min(i, n - i + 1)
-        for i, poly in pairs.items()
-        if poly.constant != 1 or not _derivative_matches(poly, n, i)
-    ]
+    bad, _ = _identity_faults(n, pairs.items())
     if bad:
         raise FalsificationError(f"reflection identity failed for (n={n}, i={min(bad)})")
     return out

@@ -6,9 +6,9 @@ form den^deg * P(num/den), which shares sign and zeroness with P at the
 rational point, so no caller needs Fraction arithmetic to test a sign or
 a value.  Root isolation takes its signs from a fixed-point kernel
 (`critical._sign_at`) and calls this one only as its exact fallback, the
-only path that can report a zero.  The battery's identity checks
-(`verify._check_identities`) and the certificates' reflection check
-(`critical._derivative_matches`) work on coefficient lists directly.
+only path that can report a zero.  The identity checks of the battery and
+the certificates (`critical._identity_faults`) work on coefficient lists
+directly.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 
-from . import critical
+from . import WorkerError, critical
 from ._record import Record, set_field
 from .critical import (
     DEFAULT_WIDTH,
@@ -244,23 +244,11 @@ def _check_identities(
     n: int, polys: list[IntPolynomial]
 ) -> tuple[tuple[int, str | None], tuple[int, str | None]]:
     """The reflection and derivative identities for P_{n,i} = polys[i-1], i = 1..n,
-    each list checked against its derivative and constant term, O(n) per i.
-
-    P'_{n,i} = -2n C(n-1,i-1) x^(i-1) (1-x)^(n-i) (`critical._derivative`) is
-    the derivative identity, reported as j = i-1.  With P_{n,i}(0) = 1 it fixes
-    P_{n,i} = 2 B(i-1; n, x) - 1, its definition.  By the binomial theorem
-    that is also -(2 B(n-i; n, 1-x) - 1), the reflection -P_{n,n-i+1}(1 - x) of
-    the partner's definition, so both members of the pair {i, n-i+1} equal to
-    their definitions prove the reflection identity; a mismatch at either is
-    reported at the pair's lower index.  Each check counts n instances.
+    from `critical._identity_faults`: a reflection failure is reported at its
+    least pair fault, the lower index of a pair, and a derivative failure at
+    its least derivative fault, j = i-1.  Each check counts n instances.
     """
-    bad_pairs, bad_js = [], []
-    for i, poly in enumerate(polys, 1):
-        if not critical._derivative_matches(poly, n, i):
-            bad_js.append(i - 1)
-            bad_pairs.append(min(i, n - i + 1))
-        elif poly.constant != 1:
-            bad_pairs.append(min(i, n - i + 1))
+    bad_pairs, bad_js = critical._identity_faults(n, enumerate(polys, 1))
     reflection = f"n={n} i={min(bad_pairs)} reflection identity failed" if bad_pairs else None
     derivative = f"n={n} j={min(bad_js)} derivative identity failed" if bad_js else None
     return (n, reflection), (n, derivative)
@@ -361,10 +349,6 @@ def _check_evaluation_consistency(
                 f"{format_rational(Fraction(via_cdf, b**top))}"
             )
     return CONSISTENCY_DRAWS, first_bad
-
-
-class WorkerError(RuntimeError):
-    """A worker process of `ordered_map` died before returning its results."""
 
 
 def _available_cpus() -> int:

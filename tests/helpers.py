@@ -186,7 +186,8 @@ def rational_root_scan(
 
 
 def comb_cdf_polynomial(n: int, j: int) -> IntPolynomial:
-    """`critical._cdf_coeffs`'s closed form 1 + sum_{s>j} (-1)^(s-j) C(n,s) C(s-1,j) x^s,
+    """sum_{i<=j} C(n,i) x^i (1-x)^(n-i) from the closed form
+    1 + sum_{s>j} (-1)^(s-j) C(n,s) C(s-1,j) x^s (derived at `critical.critical_poly`),
     with two binomial coefficients per term."""
     tail = [
         (-1) ** (s - j) * math.comb(n, s) * math.comb(s - 1, j)
@@ -212,6 +213,11 @@ def pascal_cdf_polynomial(n: int, j: int) -> IntPolynomial:
         for t, c in enumerate(powers[n - i]):
             acc[i + t] += coeff * c
     return IntPolynomial(acc)
+
+
+def twice_less_one(poly: IntPolynomial) -> IntPolynomial:
+    """2 P - 1: P_{n,k} from the CDF polynomial B(k-1; n, x)."""
+    return IntPolynomial([2 * c - (s == 0) for s, c in enumerate(poly.coeffs)])
 
 
 def sign_at(poly: IntPolynomial, x: Fraction) -> int:

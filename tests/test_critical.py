@@ -36,6 +36,7 @@ from helpers import (
     rational_root_scan,
     sign_at,
     taylor_reflect,
+    twice_less_one,
     walk,
     walk_matches,
 )
@@ -104,19 +105,18 @@ class TestCriticalPoly:
             poly = critical_poly(n, k)
             assert fraction_horner(poly, p1) > fraction_horner(poly, p2)
 
-    def test_total_mass_polynomial_is_one(self):
-        for n in range(0, 12):
-            assert critical._cdf_coeffs(n, n) == [1] + [0] * n
-
     def test_closed_form_matches_pascal_expansion(self):
-        for n in range(0, 61):
-            for j in range(n + 1):
-                assert IntPolynomial(critical._cdf_coeffs(n, j)) == pascal_cdf_polynomial(n, j), (n, j)
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                want = twice_less_one(pascal_cdf_polynomial(n, k - 1))
+                assert critical_poly(n, k) == want, (n, k)
 
     @pytest.mark.parametrize("n", [100, 300, 1000])
     def test_term_ratio_matches_binomial_products(self, n):
-        for j in sorted({0, 1, n // 3, n // 2, n - 2, n - 1, n}):
-            assert IntPolynomial(critical._cdf_coeffs(n, j)) == comb_cdf_polynomial(n, j), (n, j)
+        # the oracle's two binomials per term take about 15 s for every k at n = 1000
+        ks = range(1, n + 1) if n <= 300 else sorted({1, 2, n // 3 + 1, n // 2 + 1, n - 1, n})
+        for k in ks:
+            assert critical_poly(n, k) == twice_less_one(comb_cdf_polynomial(n, k - 1)), (n, k)
 
     def test_derivative_matches_products(self):
         for n in range(1, 41):

@@ -34,13 +34,12 @@ PACKAGE_EXPORTS = {
         "RationalParseError", "ZeroDenominatorError", "as_exact", "decimal_string",
         "format_rational", "parse_rational", "shared_prefix_decimal",
     ),
-    "verify": ("CheckResult", "VerificationReport", "WorkerError", "verify_theorem"),
+    "verify": ("CheckResult", "VerificationReport", "verify_theorem"),
 }
-# the names `cli` reads from `critical` and `verify` only when asked for
-CLI_LAZY = {
-    "critical": ("ExactRoot", "certify", "certify_range", "isolate_root"),
-    "verify": ("WorkerError", "ordered_map", "verify_theorem"),
-}
+# the one name the package defines itself
+PACKAGE_OWN = ("WorkerError",)
+# the name `cli` reads from `critical` only when asked for
+CLI_LAZY = {"critical": ("isolate_root",)}
 
 
 def owned(exports):
@@ -48,7 +47,7 @@ def owned(exports):
 
 
 def test_package_all_is_the_reexported_names():
-    names = [name for _, name in owned(PACKAGE_EXPORTS)]
+    names = [*PACKAGE_OWN, *(name for _, name in owned(PACKAGE_EXPORTS))]
     assert len(names) == 35
     assert sorted(binomedian.__all__) == sorted(names)
     star = {}
@@ -90,3 +89,20 @@ def test_name_follows_its_owner(monkeypatch, module, owner, name):
     monkeypatch.undo()
     assert getattr(module, name) is original
     assert name not in vars(module)
+
+
+def test_every_reexport_is_in_its_owners_all():
+    # the package's lists and its owners' lists cannot drift apart
+    for owner, names in binomedian._EXPORTS.items():
+        module = importlib.import_module(f"binomedian.{owner}")
+        assert set(names) <= set(module.__all__), owner
+
+
+def test_worker_error_is_the_packages_own():
+    # `verify` raises it and `cli` catches it, under one name
+    from binomedian import verify
+
+    assert binomedian.WorkerError.__module__ == "binomedian"
+    assert "WorkerError" in vars(binomedian)
+    assert verify.WorkerError is binomedian.WorkerError is cli.WorkerError
+    assert "WorkerError" in verify.__all__

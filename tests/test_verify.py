@@ -445,21 +445,60 @@ class TestIdentityWork:
         # per n, one list P_{n,1..n} serves every check: certificates and root
         # isolation take it as given, and the identity checks build no polynomial
         calls = []
-        real = critical._cdf_coeffs
+        real = critical.critical_poly
 
-        def counted(n, j):
-            calls.append((n, j))
-            return real(n, j)
+        def counted(n, k):
+            calls.append((n, k))
+            return real(n, k)
 
-        monkeypatch.setattr(critical, "_cdf_coeffs", counted)
+        monkeypatch.setattr(critical, "critical_poly", counted)
         assert verify_theorem(28, denom_max=200, seed=7).passed
         assert len(calls) == 406 == sum(range(1, 29))
         assert len(set(calls)) == len(calls)
+
+    def test_derivatives_built_per_n(self, monkeypatch):
+        # `certify_range` builds one for each member of every pair, n - (n mod 2),
+        # and `_check_identities` one per polynomial, n: neither trusts the other
+        counts = []
+        real = critical._derivative
+
+        def counted(n, k):
+            counts[-1] += 1
+            return real(n, k)
+
+        monkeypatch.setattr(critical, "_derivative", counted)
+        for n in range(1, 13):
+            counts.append(0)
+            verify._checks_for_n((n, 200, DEFAULT_WIDTH, 7))
+        assert counts == [2 * n - n % 2 for n in range(1, 13)]
 
     def test_battery_has_no_name_of_its_own_for_critical_poly(self):
         # a plant at `critical.critical_poly` reaches the battery's list only
         # while `verify` builds it through that name
         assert not hasattr(verify, "critical_poly")
+
+
+class TestOneIdentityVerdict:
+    def test_a_fault_in_the_verdict_reaches_every_check_that_reads_it(self, monkeypatch):
+        # `critical._identity_faults` reports the member i = 4 of n = 5, whose
+        # polynomials are all right: the certificates and both identity checks fail
+        real = critical._identity_faults
+
+        def planted(n, members):
+            pairs, derivatives = real(n, members)
+            return (pairs + [2], derivatives + [3]) if n == 5 else (pairs, derivatives)
+
+        monkeypatch.setattr(critical, "_identity_faults", planted)
+        assert failures(6) == {
+            "certificates": (
+                "n=5 certificate construction failed: reflection identity failed for (n=5, i=2)"
+            ),
+            "symmetry_identity": "n=5 i=2 reflection identity failed",
+            "derivative_identity": "n=5 j=3 derivative identity failed",
+        }
+        assert failures(4) == {}
+        with pytest.raises(FalsificationError, match=r"\(n=5, i=2\)"):
+            critical.certify(5, 1)
 
 
 def certify_outcome(n, polys):

@@ -39,6 +39,10 @@ FIXED = [
     ["certify", "--n", "16000", "--k", "800"],
     ["certify", "--n", "70", "--k", "50"],
     ["certify", "--n", "70", "--k", "10"],
+    # the odd middle at scale, the pair check at the lowest index, one-digit battery
+    ["certify", "--n", "4001", "--k", "2001"],
+    ["certify", "--n", "4000", "--k", "1"],
+    ["verify", "--n-max", "30", "--digits", "1"],
     # out-of-range inputs: exit 2 with empty stdout
     ["median", "--n", "4", "--p", "5/3"],
     ["median", "--n", "-1", "--p", "1/2"],
