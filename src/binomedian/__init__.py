@@ -10,18 +10,62 @@ The package namespace is lazy (PEP 562): `import binomedian` loads no
 submodule, and each name below is read from the submodule that owns it
 when it is used, so a launch loads only what its command runs.
 
-`WorkerError` is the one name the package defines itself.  `verify` raises
-it and `cli` catches it, and every launch loads the package, so `cli` can
-name it without loading `verify`.
+The worker pool is defined here, beside its failure type: `ordered_map`
+runs the per-n tasks of `table` and `verify`, and raises `WorkerError` when a
+worker dies, which `cli` catches.  Every launch loads the package, so `table`
+runs its pool, and `cli` names the error, without loading the battery
+(`verify`).  Of the names in `__all__`, `WorkerError` is the one the package
+defines itself.
 """
 
 import importlib
+import os
+import sys
 
 __version__ = "0.1.0"
 
 
 class WorkerError(RuntimeError):
-    """A worker process of `verify.ordered_map` died before returning its results."""
+    """A worker process of `ordered_map` died before returning its results."""
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def ordered_map(fn, tasks: list, threads: int) -> list:
+    """[fn(task) for task in tasks], run in min(threads, len(tasks),
+    _available_cpus()) worker processes when that exceeds 1.
+
+    `threads` below 1 raises ValueError before any task runs; this is the
+    one place it is checked.  A worker that dies raises WorkerError, chained
+    from the pool's BrokenProcessPool.  The process pool is imported only
+    here, so a caller that never runs more than one worker never loads
+    `multiprocessing`.  Workers run under the caller's int/str digit limit:
+    a worker started by `spawn` or `forkserver` would otherwise start from
+    the interpreter default.
+    """
+    if threads < 1:
+        raise ValueError("threads must be positive")
+    workers = min(threads, len(tasks), _available_cpus())
+    if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        digits = (
+            {}
+            if limit is None
+            else {"initializer": sys.set_int_max_str_digits, "initargs": (limit,)}
+        )
+        try:
+            with ProcessPoolExecutor(max_workers=workers, **digits) as pool:
+                return list(pool.map(fn, tasks))
+        except BrokenProcessPool as exc:
+            raise WorkerError(str(exc)) from exc
+    return [fn(task) for task in tasks]
 
 
 _EXPORTS = {

@@ -9,25 +9,28 @@ prints each certificate's enclosure, bisected when printed; a lower
 row reflects its partner's, so only the upper half is.
 
 A launch imports only what its command runs.  `median`, `cdf` and `pmf`
-load `distribution`, `median` and `rational`; the handlers of `critical` and
-`certify` import `critical` (with `polynomial`), and those of `table` and
-`verify` import `verify` as well, when they run.  `--threads` > 1 loads the
-process pool inside `ordered_map`, `verify` loads `hashlib` for its seeded
-streams, and `table` loads `csv`.  Besides the package, every launch loads
-`argparse`, `json` and `fractions` with their own imports, and nothing else:
-the records are plain frozen classes, so neither `dataclasses` (with
-`inspect`, `ast`, `dis` and `tokenize`) nor `typing` is loaded.  Fresh
-launches run to exit in these medians of 40 alternating launches by
-tools/launch_times.py (2-core Intel Xeon, CPython 3.11.7), without bytecode
-caches and with them: `median` 72 and 53 ms, `cdf` 77 and 54, `pmf` 64 and
-58, `critical` 75 and 60, `certify` 65 and 61, `table --n-max 20` 78 and
-73, `verify --n-max 28` 93 and 105.  The host's speed drifts by about 15%
-between such runs, which is more than the caches save on `verify`.
+load `distribution`, `median` and `rational`; the handlers of `critical`,
+`certify` and `table` import `critical` (with `polynomial`) when they run,
+and only that of `verify` imports the battery, `verify`.  The worker pool,
+`binomedian.ordered_map`, is in the package root, which every launch loads.
+`--threads` > 1 loads the process pool inside `ordered_map`, `verify` loads
+`hashlib` for its seeded streams, and `table` loads `csv`.  Besides the
+package, every launch loads `argparse`, `json` and `fractions` with their
+own imports, and nothing else: the records are plain frozen classes, so
+neither `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize`) nor
+`typing` is loaded.  Fresh launches run to exit in these medians of 40
+alternating launches by tools/launch_times.py (2-core Intel Xeon, CPython
+3.11.7), without bytecode caches and with them: `median` 63 and 64 ms, `cdf`
+69 and 70, `pmf` 74 and 77, `critical` 77 and 77, `certify` 74 and 66,
+`table --n-max 20` 85 and 76, `verify --n-max 28` 103 and 103.  The host's
+speed drifts by about 15% between such runs, which is more than the caches
+save on `verify`.
 
 Each input is checked once, before any work, by the library function that
 uses it; its ValueError prints as one `error:` line with exit 2.  Only
-`--digits`, `--threads` and `table`'s `--n-max` are checked here: no library
-function sees them before its work.
+`--digits` and `table`'s `--n-max` are checked here: no library function
+sees them before its work.  `--threads` is only parsed here, and
+`binomedian.ordered_map` checks its range for both `table` and `verify`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import WorkerError, _lazy_namespace
+from . import WorkerError, _lazy_namespace, ordered_map
 from .distribution import BinomialParams, cdf, pmf
 from .median import median_binomial
 from .rational import decimal_string, format_rational, parse_rational
@@ -74,9 +77,7 @@ def _thread_count(text: str) -> int:
         value = int(text)
     except ValueError:
         raise CliError(f"invalid thread count {text!r}") from None
-    if value < 1:
-        raise CliError("threads must be >= 1")
-    return value
+    return value  # `ordered_map` rejects a count below 1
 
 
 def cmd_median(args: argparse.Namespace) -> int:
@@ -150,8 +151,6 @@ def _table_rows_for_n(task: tuple[int, Fraction, int]) -> list[dict]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    from .verify import ordered_map
-
     if args.n_max < 1:
         raise CliError("n-max must be >= 1")
     digits = _check_digits(args.digits)

@@ -1,9 +1,10 @@
 """Exact binomial pmf, CDF, and survival function at rational p.
 
-Everything here runs on one integer kernel.  At p = a/b with c = b - a,
-`binomial_weights` yields the weights w_i = C(n, i)·a^i·c^(n-i), so that
-P(X = i) = w_i / b^n and the weights sum to b^n.  It walks the term-ratio
-recurrence
+At p = a/b with c = b - a, the weights w_i = C(n, i)·a^i·c^(n-i) give
+P(X = i) = w_i / b^n, and they sum to b^n.  `pmf` computes its one weight
+directly, from one binomial coefficient and three powers.  Every scan over
+the weights (`cdf`, `survival` and `pmf_sequence`) runs on one integer
+kernel, `binomial_weights`, which walks the term-ratio recurrence
 
     w_0 = c^n,    w_{i+1} = w_i·(n - i)·a // ((i + 1)·c),
 

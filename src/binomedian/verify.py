@@ -16,14 +16,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import random
-import sys
 import time
-from collections.abc import Callable
 from fractions import Fraction
 
-from . import WorkerError, critical
+from . import WorkerError, critical, ordered_map
 from ._record import Record, set_field
 from .critical import (
     DEFAULT_WIDTH,
@@ -351,41 +348,6 @@ def _check_evaluation_consistency(
     return CONSISTENCY_DRAWS, first_bad
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def ordered_map(fn: Callable, tasks: list, threads: int) -> list:
-    """[fn(task) for task in tasks], run in min(threads, len(tasks),
-    _available_cpus()) worker processes when that exceeds 1.
-
-    A worker that dies raises WorkerError, chained from the pool's
-    BrokenProcessPool.  The process pool is imported only here, so a caller
-    that never runs more than one worker never loads `multiprocessing`.
-    Workers run under the caller's int/str digit limit: a worker started by
-    `spawn` or `forkserver` would otherwise start from the interpreter default.
-    """
-    workers = min(threads, len(tasks), _available_cpus())
-    if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        digits = (
-            {}
-            if limit is None
-            else {"initializer": sys.set_int_max_str_digits, "initargs": (limit,)}
-        )
-        try:
-            with ProcessPoolExecutor(max_workers=workers, **digits) as pool:
-                return list(pool.map(fn, tasks))
-        except BrokenProcessPool as exc:
-            raise WorkerError(str(exc)) from exc
-    return [fn(task) for task in tasks]
-
-
 def _critical_polys(n: int) -> list[IntPolynomial]:
     """P_{n,1..n}, the one list every check of n reads.  Built through
     `critical.critical_poly`, the name the printing paths call, so a fault
@@ -418,7 +380,9 @@ def verify_theorem(
     randomized parts draw from per-(check, n) streams split off the master
     seed, and results are merged in ascending n regardless of `threads`,
     so the first counterexample reported is always the smallest-n one.
-    A worker process that dies under `threads` > 1 raises WorkerError.
+    `threads` below 1 raises ValueError from `binomedian.ordered_map`
+    before any n runs, and a worker process that dies under `threads` > 1
+    raises WorkerError.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -427,8 +391,6 @@ def verify_theorem(
     width = critical._checked_width(width)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
-    if threads < 1:
-        raise ValueError("threads must be positive")
     start = time.perf_counter()
     tasks = [(n, denom_max, width, seed) for n in range(1, n_max + 1)]
     rows = ordered_map(_checks_for_n, tasks, threads)

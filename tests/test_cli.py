@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import binomedian
 from binomedian import cli, critical, verify
 from binomedian.critical import critical_poly
 from binomedian.distribution import BinomialParams, cdf
@@ -25,7 +26,7 @@ def _exit_abruptly(task):
 
 # --threads runs at most one worker per available CPU, so with one CPU no pool starts
 needs_pool = pytest.mark.skipif(
-    verify._available_cpus() < 2, reason="a process pool needs 2 available CPUs"
+    binomedian._available_cpus() < 2, reason="a process pool needs 2 available CPUs"
 )
 
 
@@ -334,8 +335,12 @@ def test_scan_launch_loads_no_root_modules(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("critical", "--n", "9", "--k", "5"), ("certify", "--n", "9", "--k", "5")],
-    ids=["critical", "certify"],
+    [
+        ("critical", "--n", "9", "--k", "5"),
+        ("certify", "--n", "9", "--k", "5"),
+        ("table", "--n-max", "4"),
+    ],
+    ids=["critical", "certify", "table"],
 )
 def test_root_launch_leaves_the_battery_unloaded(argv):
     modules = imported_by_launch(*argv)
@@ -391,10 +396,13 @@ class TestUsageErrors:
             (("certify", "--n", "0", "--k", "1"), "n must be positive"),
             (("verify", "--n-max", "0"), "n_max must be positive"),
             (("verify", "--n-max", "3", "--denom-max", "0"), "denom_max must be positive"),
+            (("table", "--n-max", "3", "--threads", "0"), "threads must be positive"),
+            (("verify", "--n-max", "3", "--threads", "0"), "threads must be positive"),
         ],
         ids=[
             "median-p", "median-n", "pmf-n", "cdf-n", "critical-k", "certify-k",
             "critical-n", "certify-n", "verify-n-max", "verify-denom-max",
+            "table-threads", "verify-threads",
         ],
     )
     def test_out_of_range_is_the_library_line(self, capsys, argv, line):
@@ -481,7 +489,7 @@ class TestThreadCap:
             "ProcessPoolExecutor",
             lambda max_workers, **_: _SerialPool(max_workers, record),
         )
-        monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(binomedian, "_available_cpus", lambda: cpus)
         return record
 
     @pytest.mark.parametrize("command", ["table", "verify"])
@@ -508,9 +516,24 @@ class TestThreadCap:
 
 @needs_pool
 def test_dead_worker_raises_worker_error_from_the_pool():
-    with pytest.raises(verify.WorkerError) as excinfo:
-        verify.ordered_map(_exit_abruptly, [1, 2], 2)
+    with pytest.raises(binomedian.WorkerError) as excinfo:
+        binomedian.ordered_map(_exit_abruptly, [1, 2], 2)
     assert isinstance(excinfo.value.__cause__, concurrent.futures.process.BrokenProcessPool)
+
+
+def test_thread_count_below_one_runs_no_task():
+    calls = []
+    with pytest.raises(ValueError, match="^threads must be positive$"):
+        binomedian.ordered_map(calls.append, [1, 2], 0)
+    assert calls == []
+
+
+# where the OS has no affinity set, the CPU count stands in, and 1 when unknown
+@pytest.mark.parametrize("count,cpus", [(6, 6), (None, 1)], ids=["counted", "unknown"])
+def test_available_cpus_without_affinity_set(monkeypatch, count, cpus):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert binomedian._available_cpus() == cpus
 
 
 @needs_pool

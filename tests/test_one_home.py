@@ -3,9 +3,10 @@
 The modules of `src/binomedian` are parsed with `ast`.  The identity verdict
 is `critical._identity_faults`, the one reader of `_derivative_matches`, so
 the certificates and the battery cannot judge a polynomial apart; the
-coefficients of P_{n,k} have one builder, `critical_poly`; and `cli` names
+coefficients of P_{n,k} have one builder, `critical_poly`; `cli` names
 `binomedian.WorkerError` by import instead of looking for it in
-`sys.modules`.
+`sys.modules`; and the worker pool lives beside `WorkerError` in the package
+root, so only `cmd_verify` loads the battery.
 """
 
 import ast
@@ -65,6 +66,46 @@ def sys_modules_reads(source: str) -> list[int]:
     ]
 
 
+def imports_of(source: str, module: str) -> list[str | None]:
+    """The enclosing function of every import statement in `source` that
+    loads `module` or a submodule of it, by `import` or by `from`; a relative
+    module is written with its leading dots, as `.verify`."""
+    found = []
+
+    def loaded(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            dot = "" if base.endswith(".") else "."
+            return [base, *(f"{base}{dot}{alias.name}" for alias in node.names)]
+        return []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if any(name == module or name.startswith(module + ".") for name in loaded(node)):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+POOL_NAMES = {"ordered_map", "_available_cpus"}
+
+
+def pool_homes(sources: dict[str, str]) -> list[str]:
+    """The modules in `sources` that define a pool name or import
+    `concurrent.futures`."""
+    return [
+        module
+        for module, text in sources.items()
+        if POOL_NAMES & definitions(text) or imports_of(text, "concurrent.futures")
+    ]
+
+
 def source(module: str) -> str:
     return (SRC / f"{module}.py").read_text()
 
@@ -112,3 +153,40 @@ def test_planted_coefficient_builder_is_found():
 def test_planted_sys_modules_read_is_found(planted):
     text = source("cli") + "\n\ndef planted():\n    " + planted + "\n"
     assert len(sys_modules_reads(text)) == 1
+
+
+def test_pool_lives_in_the_package_root():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 9
+    assert pool_homes(sources) == ["__init__"]
+
+
+def battery_imports(cli_source: str) -> list[str | None]:
+    return imports_of(cli_source, ".verify") + imports_of(cli_source, "binomedian.verify")
+
+
+def test_cli_loads_the_battery_only_to_run_it():
+    assert battery_imports(source("cli")) == ["cmd_verify"]
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "def ordered_map(fn, tasks, threads):\n    return []\n",
+        "def _available_cpus():\n    return 1\n",
+        "def planted():\n    from concurrent.futures import ProcessPoolExecutor\n",
+        "def planted():\n    from concurrent import futures\n",
+        "import concurrent.futures.process\n",
+    ],
+)
+def test_planted_pool_is_found(planted):
+    sources = {"__init__": source("__init__"), "verify": source("verify") + "\n\n" + planted}
+    assert pool_homes(sources) == ["__init__", "verify"]
+
+
+@pytest.mark.parametrize(
+    "planted", ["from .verify import verify_theorem", "from . import verify", "import binomedian.verify"]
+)
+def test_planted_battery_import_is_found(planted):
+    text = source("cli") + "\n\ndef cmd_table(args):\n    " + planted + "\n"
+    assert sorted(battery_imports(text)) == ["cmd_table", "cmd_verify"]

@@ -27,6 +27,7 @@ FIXED = [
     ["verify", "--n-max", "40", "--denom-max", "200", "--seed", "7", "--threads", "2"],
     ["table", "--n-max", "25", "--format", "json", "--digits", "8"],
     ["table", "--n-max", "12", "--threads", "auto"],
+    ["table", "--n-max", "8", "--threads", "2", "--format", "json"],
     ["critical", "--n", "100", "--k", "60", "--digits", "400"],
     # the Halley start at large n, at its extreme indices, and at thousands of digits
     *[["critical", "--n", str(n), "--k", str(3 * n // 5)] for n in (1000, 4000, 16000)],
@@ -54,6 +55,8 @@ FIXED = [
     ["certify", "--n", "0", "--k", "1"],
     ["verify", "--n-max", "0"],
     ["verify", "--n-max", "3", "--denom-max", "0"],
+    ["table", "--n-max", "3", "--threads", "0"],
+    ["verify", "--n-max", "3", "--threads", "0"],
 ]
 SEEDS = (7, 8)
 
