@@ -84,7 +84,7 @@ _EXPORTS = {
         "critical_poly",
         "isolate_root",
     ),
-    "distribution": ("BinomialParams", "ParameterError", "cdf", "pmf", "pmf_sequence", "survival"),
+    "distribution": ("BinomialParams", "ParameterError", "cdf", "pmf"),
     "median": ("MedianInterval", "MedianResult", "UniqueMedian", "median_binomial"),
     "polynomial": ("IntPolynomial",),
     "rational": (

@@ -4,14 +4,15 @@
 importing `dataclasses`, which loads `inspect`, `ast`, `dis` and `tokenize`
 and runs `exec` for every decorated class (the launch times are in `cli`'s
 docstring).  Equality holds only between instances of one class, so
-`ExactRoot(1/2) != ExactRational(1/2)`; the hash and the repr are the
+`ExactRoot(1/2) != ExactRational()`; the hash and the repr are the
 dataclass ones over the fields; assignment and deletion raise
 AttributeError; pickling and copying rebuild through the constructor.
 
 A subclass names its fields in `_fields`, in constructor order, declares
 `__slots__` and writes its own `__init__`, setting each field with
-`set_field`.  A slot outside `_fields` is private state that no comparison,
-hash, repr or pickle sees.
+`set_field`; a record without fields needs no `__init__`.  A slot outside
+`_fields` is private state, and a class attribute a fact shared by every
+instance: no comparison, hash, repr or pickle sees either.
 """
 
 from __future__ import annotations

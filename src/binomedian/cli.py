@@ -28,9 +28,10 @@ save on `verify`.
 
 Each input is checked once, before any work, by the library function that
 uses it; its ValueError prints as one `error:` line with exit 2.  Only
-`--digits` and `table`'s `--n-max` are checked here: no library function
-sees them before its work.  `--threads` is only parsed here, and
-`binomedian.ordered_map` checks its range for both `table` and `verify`.
+`--digits` and `table`'s `--n-max` are checked here, with the same
+ValueError: no library function sees them before its work.  `--threads` is
+only parsed here, and `binomedian.ordered_map` checks its range for both
+`table` and `verify`.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ __getattr__, __dir__ = _lazy_namespace(globals(), {"critical": ("isolate_root",)
 DEFAULT_DIGITS = 30
 
 
-class CliError(Exception):
-    """Usage-level failure; its message becomes the one-line diagnostic."""
-
-
 def _emit(document: object) -> None:
     sys.stdout.write(json.dumps(document, separators=(",", ":")) + "\n")
 
@@ -66,7 +63,7 @@ def _width_for(digits: int) -> Fraction:
 
 def _check_digits(digits: int) -> int:
     if digits < 1:
-        raise CliError("digits must be >= 1")
+        raise ValueError("digits must be >= 1")
     return digits
 
 
@@ -74,10 +71,9 @@ def _thread_count(text: str) -> int:
     if text == "auto":
         return sys.maxsize  # `ordered_map` caps it at the CPUs available to the process
     try:
-        value = int(text)
+        return int(text)  # `ordered_map` rejects a count below 1
     except ValueError:
-        raise CliError(f"invalid thread count {text!r}") from None
-    return value  # `ordered_map` rejects a count below 1
+        raise ValueError(f"invalid thread count {text!r}") from None
 
 
 def cmd_median(args: argparse.Namespace) -> int:
@@ -152,7 +148,7 @@ def _table_rows_for_n(task: tuple[int, Fraction, int]) -> list[dict]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.n_max < 1:
-        raise CliError("n-max must be >= 1")
+        raise ValueError("n-max must be >= 1")
     digits = _check_digits(args.digits)
     threads = _thread_count(args.threads)
     width = _width_for(digits)
@@ -297,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (CliError, ValueError, WorkerError) as exc:
+    except (ValueError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

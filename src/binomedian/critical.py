@@ -37,24 +37,29 @@ The irrationality certificates mechanize a three-way case split:
 
 * odd n with k in the middle: the polynomial vanishes exactly at 1/2;
 * k above the middle: the exact integer 2^n P(1/2) = 2 sum_{i<k} C(n,i) - 2^n
-  is positive and P(1) = -1, so the root lies in (1/2, 1); the constant
-  coefficient is 1, so by the rational root theorem every rational root
-  has the form ±1/r for a positive integer r, and no such number lies in
-  (1/2, 1), so the root is irrational;
+  is positive, since by the symmetry C(n,i) = C(n,n-i) the indices i < k
+  carry more than half of the row's sum 2^n, and P(1) = -1, so the root
+  lies in (1/2, 1); the constant coefficient is 1, so by the rational root
+  theorem every rational root has the form ±1/r for a positive integer r,
+  and no such number lies in (1/2, 1), so the root is irrational;
 * k below the middle: the polynomial is the reflection -P(1 - x) of its
   partner's P at index n-k+1 (both equal their definitions), so the root is
   1 minus the partner's and inherits its irrationality.
 
-Certificates rest on exact facts alone and never bisect.  A status's
-`enclosure`, the one `isolate_root` returns, is bisected on first read, and
-a lower index reflects its partner's: n enclosures bisect only the upper half.
+A certificate record stores only what varies with (n, k): the root 1/2,
+the constant coefficient 1 and the sign +1 at 1/2 hold at every index of
+their case, so they are class attributes.  Certificates rest on exact facts
+alone and never bisect.  A status's `enclosure`, the one `isolate_root`
+returns, is bisected on first read, and a lower index reflects its
+partner's: n enclosures bisect only the upper half.
 
 Every branch re-checks the exact facts it relies on and raises
 FalsificationError instead of ever passing silently.  `isolate_root` and
 `certify_range` build their polynomials with `critical_poly` unless the
 caller hands them in (`poly=`, `polys=`); `verify`'s battery builds
 P_{n,1..n} once per n and passes that one list to both, and they check on
-it the same facts they check on polynomials they build.
+it the same facts they check on polynomials they build.  A width is exact,
+an int or a Fraction, by the rule `rational.as_exact` sets for p.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from fractions import Fraction
 
 from ._record import Record, set_field
 from .polynomial import IntPolynomial, _from_ints
-from .rational import format_rational, shared_prefix_decimal
+from .rational import as_exact, format_rational, shared_prefix_decimal
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -82,8 +87,6 @@ __all__ = [
     "certify",
     "certify_range",
 ]
-
-_HALF = Fraction(1, 2)
 
 #: Default enclosure width, two powers of ten tighter than anything a
 #: 25-digit comparison could notice; about 100 bisection steps.
@@ -151,9 +154,10 @@ def _check_index(n: int, k: int) -> None:
 
 
 def _checked_width(width: Fraction | int) -> Fraction:
-    """`width` as a Fraction, once it is positive."""
+    """`width` as a Fraction, once it is exact (`as_exact`: a float or a bool
+    raises TypeError) and positive."""
     if not isinstance(width, Fraction):
-        width = Fraction(width)
+        width = as_exact(width)
     if width.numerator <= 0:
         raise ValueError("width must be positive")
     return width
@@ -462,13 +466,11 @@ def isolate_root(
 
 
 class ExactRational(Record):
-    """The critical probability is exactly this rational (always 1/2)."""
+    """The critical probability is exactly `root` = 1/2, the one rational
+    critical probability (module docstring), so the record has no fields."""
 
-    __slots__ = _fields = ("root",)
-    root: Fraction
-
-    def __init__(self, root: Fraction) -> None:
-        set_field(self, "root", root)
+    __slots__ = ()
+    root = Fraction(1, 2)
 
     @property
     def enclosure(self) -> ExactRoot:
@@ -481,39 +483,31 @@ class ExactRational(Record):
 class IrrationalUpperHalf(Record):
     """Direct irrationality evidence for the root of `poly` = P_{n,k}, k above the middle.
 
-    Records the exact facts the argument needs, checked on `poly`: P(1/2) has
-    sign `sign_at_half` = +1, from the exact integer 2^n P(1/2), and P(1) = -1,
-    so the root lies in (1/2, 1).  The constant coefficient is 1, so every
-    rational root is ±1/r for a positive integer r, and none lies in (1/2, 1):
-    the root is irrational.  No enclosure enters the proof; `enclosure`
-    bisects `poly` to `width` on first read only.
+    Besides P(1) = -1 the argument needs two facts that hold at every such k,
+    so they are class attributes, not fields: `constant_coeff` = 1, by the
+    closed form, and `sign_at_half` = +1, the sign of 2^n P(1/2), by the
+    symmetry of the binomial row (module docstring).  `_certificates` checks
+    both on `poly` before it builds the record.  So the root lies in
+    (1/2, 1), every rational root is ±1/r for a positive integer r, and none
+    lies in (1/2, 1): the root is irrational.  No enclosure enters the proof;
+    `enclosure` bisects `poly` to `width` on first read only.
     """
 
-    _fields = ("n", "k", "poly", "width", "constant_coeff", "sign_at_half")
+    _fields = ("n", "k", "poly", "width")
     _hidden = ("poly",)
     __slots__ = (*_fields, "_enclosure")
     n: int
     k: int
     poly: IntPolynomial
     width: Fraction
-    constant_coeff: int
-    sign_at_half: int
+    constant_coeff = 1
+    sign_at_half = 1
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        poly: IntPolynomial,
-        width: Fraction,
-        constant_coeff: int,
-        sign_at_half: int,
-    ) -> None:
+    def __init__(self, n: int, k: int, poly: IntPolynomial, width: Fraction) -> None:
         set_field(self, "n", n)
         set_field(self, "k", k)
         set_field(self, "poly", poly)
         set_field(self, "width", width)
-        set_field(self, "constant_coeff", constant_coeff)
-        set_field(self, "sign_at_half", sign_at_half)
         set_field(self, "_enclosure", None)
 
     @property
@@ -616,7 +610,7 @@ def _certificates(
                 raise FalsificationError(
                     f"polynomial for odd n={n}, middle k={k} does not vanish at 1/2"
                 )
-            out.append(IrrationalityCertificate(n, k, ExactRational(_HALF)))
+            out.append(IrrationalityCertificate(n, k, ExactRational()))
             continue
         above = max(k, n - k + 1)  # k itself, or its partner above the middle
         if above not in upper:
@@ -625,7 +619,7 @@ def _certificates(
                 raise FalsificationError(
                     f"P(1/2) is not positive for (n={n}, k={above}) above the middle index"
                 )
-            status = IrrationalUpperHalf(n, above, poly, width, poly.constant, sign_at_half=1)
+            status = IrrationalUpperHalf(n, above, poly, width)
             upper[above] = IrrationalityCertificate(n, above, status)
         cert = upper[above]
         if k != above:

@@ -1,10 +1,11 @@
-"""Exact binomial pmf, CDF, and survival function at rational p.
+"""Exact binomial pmf and CDF at rational p.
 
 At p = a/b with c = b - a, the weights w_i = C(n, i)·a^i·c^(n-i) give
 P(X = i) = w_i / b^n, and they sum to b^n.  `pmf` computes its one weight
 directly, from one binomial coefficient and three powers.  Every scan over
-the weights (`cdf`, `survival` and `pmf_sequence`) runs on one integer
-kernel, `binomial_weights`, which walks the term-ratio recurrence
+the weights (`cdf`, `median.median_binomial` and the battery's evaluation
+check) runs on one integer kernel, `binomial_weights`, which walks the
+term-ratio recurrence
 
     w_0 = c^n,    w_{i+1} = w_i·(n - i)·a // ((i + 1)·c),
 
@@ -31,8 +32,6 @@ __all__ = [
     "binomial_weights",
     "pmf",
     "cdf",
-    "survival",
-    "pmf_sequence",
 ]
 
 
@@ -86,15 +85,6 @@ def pmf(k: int, params: BinomialParams) -> Fraction:
     return Fraction(math.comb(n, k) * a**k * (b - a) ** (n - k), b**n)
 
 
-def pmf_sequence(params: BinomialParams) -> Iterator[Fraction]:
-    """Yield P(X = 0), ..., P(X = n), one integer weight per mass."""
-    n, p = params.n, params.p
-    a, b = p.numerator, p.denominator
-    total = b**n
-    for w in binomial_weights(n, a, b - a):
-        yield Fraction(w, total)
-
-
 def cdf(k: int, params: BinomialParams) -> Fraction:
     """P(X <= k), exactly; clamped to 0 below the support and 1 above.
 
@@ -113,7 +103,3 @@ def cdf(k: int, params: BinomialParams) -> Fraction:
     upper = sum(islice(binomial_weights(n, b - a, a), n - k))
     return Fraction(total - upper, total)
 
-
-def survival(k: int, params: BinomialParams) -> Fraction:
-    """P(X >= k) = 1 - P(X <= k-1), exactly."""
-    return 1 - cdf(k - 1, params)

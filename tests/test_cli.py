@@ -242,7 +242,7 @@ class TestVerify:
             denom_max=1,
             width=Fraction(1, 10),
             seed=0,
-            checks=(CheckResult("certificates", 1, False, "n=1 synthetic"),),
+            checks=(CheckResult("certificates", 1, "n=1 synthetic"),),
             wall_time=0.0,
         )
         monkeypatch.setattr(verify, "verify_theorem", lambda *a, **kw: failing)

@@ -389,6 +389,28 @@ class TestIsolateRoot:
             isolate_root(3, 2, Fraction(-1, 10))
 
 
+#: Every public entry point that takes a width, called with width w.
+WIDTH_TAKERS = {
+    "isolate_root": lambda w: isolate_root(2, 2, w),
+    "certify": lambda w: certify(2, 2, w),
+    "certify_range": lambda w: certify_range(2, w),
+    "verify_theorem": lambda w: verify.verify_theorem(3, width=w),
+}
+
+
+@pytest.mark.parametrize("width", [1e-10, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", WIDTH_TAKERS)
+def test_inexact_width_raises_type_error(entry, width):
+    # a float would bisect to its binary expansion, and True would be width 1
+    with pytest.raises(TypeError, match=f"exact rational .* got {type(width).__name__}"):
+        WIDTH_TAKERS[entry](width)
+
+
+def test_int_width_is_exact():
+    assert isolate_root(2, 2, 1) == isolate_root(2, 2, Fraction(1))
+    assert type(verify.verify_theorem(3, width=1).width) is Fraction
+
+
 class TestRationalRootScan:
     def test_linear(self):
         assert rational_root_scan(IntPolynomial((1, -2)), UNIT) == [Fraction(1, 2)]
@@ -456,7 +478,7 @@ class TestMonotonicity:
 class TestCertify:
     def test_odd_middle_is_exact_half(self):
         cert = certify(3, 2)
-        assert cert.status == ExactRational(HALF)
+        assert cert.status == ExactRational()
 
     def test_upper_half_direct_evidence(self):
         cert = certify(2, 2)
@@ -483,7 +505,7 @@ class TestCertify:
             for k in range(1, n + 1):
                 status = certify(n, k).status
                 if n % 2 == 1 and k == middle:
-                    assert status == ExactRational(HALF)
+                    assert status == ExactRational()
                 elif k > middle:
                     assert isinstance(status, IrrationalUpperHalf)
                 else:

@@ -4,14 +4,7 @@ from math import comb
 
 import pytest
 
-from binomedian.distribution import (
-    BinomialParams,
-    ParameterError,
-    cdf,
-    pmf,
-    pmf_sequence,
-    survival,
-)
+from binomedian.distribution import BinomialParams, ParameterError, binomial_weights, cdf, pmf
 
 HALF = Fraction(1, 2)
 
@@ -87,9 +80,10 @@ class TestPmf:
         rng = random.Random(5)
         for _ in range(30):
             n = rng.randint(0, 25)
-            params = BinomialParams(n, random_p(rng))
-            masses = list(pmf_sequence(params))
-            assert masses == [pmf(k, params) for k in range(n + 1)]
+            p = random_p(rng)
+            a, b = p.numerator, p.denominator
+            masses = [Fraction(w, b**n) for w in binomial_weights(n, a, b - a)]
+            assert masses == [pmf(k, BinomialParams(n, p)) for k in range(n + 1)]
 
 
 class TestCdf:
@@ -126,15 +120,24 @@ class TestCdf:
 
 
 class TestSurvival:
+    """The upper tail P(X >= k) = 1 - cdf(k - 1); past the middle, cdf sums
+    it directly, as the lower tail of n - X ~ B(n, 1 - p)."""
+
     def test_full_tail(self):
-        assert survival(0, BinomialParams(7, Fraction(2, 5))) == 1
+        params = BinomialParams(7, Fraction(2, 5))
+        assert 1 - cdf(-1, params) == 1
+        assert 1 - cdf(0, params) == 1 - Fraction(3, 5) ** 7
 
     def test_exact_half_tail(self):
-        # 3/8 + 1/8
-        assert survival(2, BinomialParams(3, Fraction(1, 2))) == HALF
+        # 3/8 + 1/8, then 1/8 alone from the reflected sum
+        params = BinomialParams(3, HALF)
+        assert 1 - cdf(1, params) == HALF
+        assert 1 - cdf(2, params) == Fraction(1, 8)
 
     def test_empty_tail(self):
-        assert survival(8, BinomialParams(7, Fraction(2, 5))) == 0
+        params = BinomialParams(7, Fraction(2, 5))
+        assert 1 - cdf(7, params) == 0
+        assert 1 - cdf(6, params) == Fraction(2, 5) ** 7
 
 
 class TestProperties:
@@ -142,15 +145,17 @@ class TestProperties:
         rng = random.Random(60)
         for n in range(0, 61):
             params = BinomialParams(n, random_p(rng, 200))
-            assert sum(pmf_sequence(params), Fraction(0)) == 1
+            assert sum((pmf(k, params) for k in range(n + 1)), Fraction(0)) == 1
 
     def test_cdf_survival_complement(self):
         rng = random.Random(8)
         for _ in range(20):
             n = rng.randint(0, 20)
             params = BinomialParams(n, random_p(rng))
+            # the upper tail P(X > k) summed mass by mass
             for k in range(-1, n + 2):
-                assert cdf(k, params) + survival(k + 1, params) == 1
+                tail = sum((pmf(i, params) for i in range(k + 1, n + 1)), Fraction(0))
+                assert cdf(k, params) + tail == 1
 
     def test_cdf_strictly_increasing_on_support(self):
         rng = random.Random(9)
@@ -166,9 +171,9 @@ class TestProperties:
             n = rng.randint(0, 20)
             p = random_p(rng)
             for k in range(-1, n + 2):
-                assert cdf(k, BinomialParams(n, p)) == survival(
-                    n - k, BinomialParams(n, 1 - p)
-                )
+                # P(X <= k) = P(n - X >= n - k), and n - X ~ B(n, 1 - p)
+                reflected = 1 - cdf(n - k - 1, BinomialParams(n, 1 - p))
+                assert cdf(k, BinomialParams(n, p)) == reflected
 
     def test_cdf_strictly_decreasing_in_p(self):
         rng = random.Random(12)
@@ -186,11 +191,10 @@ class TestDegenerate:
         params = BinomialParams(5, Fraction(0))
         assert pmf(0, params) == 1
         assert cdf(0, params) == 1
-        assert list(pmf_sequence(params)) == [1, 0, 0, 0, 0, 0]
+        assert [pmf(k, params) for k in range(6)] == [1, 0, 0, 0, 0, 0]
 
     def test_point_mass_at_n(self):
         params = BinomialParams(5, Fraction(1))
         assert pmf(5, params) == 1
         assert cdf(4, params) == 0
-        assert survival(5, params) == 1
-        assert list(pmf_sequence(params)) == [0, 0, 0, 0, 0, 1]
+        assert [pmf(k, params) for k in range(6)] == [0, 0, 0, 0, 0, 1]

@@ -24,11 +24,11 @@ from binomedian.verify import CheckResult, VerificationReport
 from helpers import HALF
 
 WIDTH = Fraction(1, 10**6)
-UPPER = IrrationalUpperHalf(5, 4, critical_poly(5, 4), WIDTH, 1, sign_at_half=1)
-UPPER_REPR = "IrrationalUpperHalf(n=5, k=4, width=Fraction(1, 1000000), constant_coeff=1, sign_at_half=1)"
-CHECK = CheckResult("median_sweep", 3, False, "n=2 p=1/3 median 0 contradicted")
+UPPER = IrrationalUpperHalf(5, 4, critical_poly(5, 4), WIDTH)
+UPPER_REPR = "IrrationalUpperHalf(n=5, k=4, width=Fraction(1, 1000000))"
+CHECK = CheckResult("median_sweep", 3, "n=2 p=1/3 median 0 contradicted")
 CHECK_REPR = (
-    "CheckResult(name='median_sweep', instances=3, passed=False, "
+    "CheckResult(name='median_sweep', instances=3, "
     "counterexample='n=2 p=1/3 median 0 contradicted')"
 )
 
@@ -36,13 +36,10 @@ CHECK_REPR = (
 RECORDS = [
     (ExactRoot, {"root": HALF}, "ExactRoot(root=Fraction(1, 2))"),
     (Bracket, {"lo": Fraction(1, 3), "hi": HALF}, "Bracket(lo=Fraction(1, 3), hi=Fraction(1, 2))"),
-    (ExactRational, {"root": HALF}, "ExactRational(root=Fraction(1, 2))"),
+    (ExactRational, {}, "ExactRational()"),
     (
         IrrationalUpperHalf,
-        {
-            "n": 5, "k": 4, "poly": critical_poly(5, 4), "width": WIDTH,
-            "constant_coeff": 1, "sign_at_half": 1,
-        },
+        {"n": 5, "k": 4, "poly": critical_poly(5, 4), "width": WIDTH},
         UPPER_REPR,
     ),
     (
@@ -52,8 +49,8 @@ RECORDS = [
     ),
     (
         IrrationalityCertificate,
-        {"n": 5, "k": 3, "status": ExactRational(HALF)},
-        "IrrationalityCertificate(n=5, k=3, status=ExactRational(root=Fraction(1, 2)))",
+        {"n": 5, "k": 3, "status": ExactRational()},
+        "IrrationalityCertificate(n=5, k=3, status=ExactRational())",
     ),
     (BinomialParams, {"n": 5, "p": Fraction(2, 7)}, "BinomialParams(n=5, p=Fraction(2, 7))"),
     (UniqueMedian, {"m": Fraction(2)}, "UniqueMedian(m=Fraction(2, 1))"),
@@ -65,7 +62,7 @@ RECORDS = [
     (IntPolynomial, {"coeffs": (1, -2)}, "IntPolynomial(coeffs=(1, -2))"),
     (
         CheckResult,
-        {"name": "median_sweep", "instances": 3, "passed": False,
+        {"name": "median_sweep", "instances": 3,
          "counterexample": "n=2 p=1/3 median 0 contradicted"},
         CHECK_REPR,
     ),
@@ -99,3 +96,24 @@ def test_record_behaves_as_a_frozen_dataclass(cls, fields, shown):
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(twin) is cls and twin == record and repr(twin) == shown
 
+
+
+def test_facts_that_hold_at_every_index_are_class_attributes():
+    # the odd middle's root, and the upper half's constant and sign at 1/2,
+    # are the same for every (n, k), so no instance stores them
+    assert ExactRational().root == HALF and type(ExactRational.root) is Fraction
+    for status in (UPPER, IrrationalUpperHalf):
+        assert status.constant_coeff == 1 and status.sign_at_half == 1
+    assert UPPER.to_json_dict()["constant_coeff"] == "1"
+    assert UPPER.to_json_dict()["sign_at_half"] == "1"
+    assert ExactRational().to_json_dict() == {"type": "exact_rational", "root": "1/2"}
+    assert ExactRational().enclosure == ExactRoot(HALF)
+
+
+@pytest.mark.parametrize("counterexample", [None, "", "n=2 p=1/3 median 0 contradicted"])
+def test_check_result_passes_exactly_without_a_counterexample(counterexample):
+    check = CheckResult("median_sweep", 3, counterexample)
+    assert check.passed is (counterexample is None)
+    assert check.to_json_dict()["passed"] is check.passed
+    with pytest.raises(AttributeError):
+        check.passed = True

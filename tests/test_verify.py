@@ -1,6 +1,5 @@
 import bisect
 import random
-import types
 from fractions import Fraction
 
 import pytest
@@ -54,6 +53,47 @@ def replace_poly(replace):
         monkeypatch.setattr(critical, "critical_poly", lambda n, k: replace(real, n, k))
 
     return install
+
+
+def plant_status(monkeypatch, n, k, status):
+    """Replace the status of certificate (n, k) in what `verify` reads from
+    `certify_range` by status(certs), certs the true certificates of n."""
+    real = critical.certify_range
+
+    def planted(m, width, *, polys):
+        certs = real(m, width, polys=polys)
+        if m == n:
+            certs[k - 1] = critical.IrrationalityCertificate(n, k, status(certs))
+        return certs
+
+    monkeypatch.setattr(verify, "certify_range", planted)
+
+
+#: The rules a certificate record can still break, each planted at the
+#: smallest n where it applies: (n, k, status in place of (n, k)'s).  The
+#: statuses are taken from true certificates: certify(1, 1) is the odd
+#: middle's ExactRational and certify(2, 2) an upper-half one.
+SHAPE_FAULTS = {
+    "lower_partner_k_is_n_minus_k": (
+        2, 1, lambda certs: critical.IrrationalBySymmetry(1, certs[1])
+    ),
+    "upper_half_status_at_the_odd_middle": (
+        1, 1, lambda certs: critical.certify(2, 2).status
+    ),
+    "lower_partner_holds_an_exact_rational": (
+        2,
+        1,
+        lambda certs: critical.IrrationalBySymmetry(
+            2, critical.IrrationalityCertificate(2, 2, critical.certify(1, 1).status)
+        ),
+    ),
+    "exact_rational_above_the_middle": (
+        2, 2, lambda certs: critical.certify(1, 1).status
+    ),
+    "upper_half_status_below_the_middle": (
+        2, 1, lambda certs: critical.certify(2, 2).status
+    ),
+}
 
 
 #: The planted faults that break root isolation or the order of the roots.
@@ -237,32 +277,12 @@ class TestPlantedFaults:
         assert bad["monotonicity"].startswith("n=6 roots 4 and 5 of n=6 ")
         assert bad["certificates"].startswith("n=6 ")
 
-    def test_sign_at_half_against_the_binomial_sum(self, monkeypatch):
-        # for (4, 3): 2 (C(4,0) + C(4,1) + C(4,2)) - 2^4 = 6 > 0, but the
-        # certificate claims a negative sign
-        real = critical.certify_range
-
-        def planted(n, width, *, polys):
-            certs = real(n, width, polys=polys)
-            if n == 4:
-                true = certs[2].status
-                status = critical.IrrationalUpperHalf(
-                    true.n, true.k, true.poly, true.width, true.constant_coeff, sign_at_half=-1
-                )
-                certs[2] = critical.IrrationalityCertificate(certs[2].n, certs[2].k, status)
-            return certs
-
-        monkeypatch.setattr(verify, "certify_range", planted)
-        assert failures(5) == {
-            "certificates": "n=4 k=3 unexpected certificate IrrationalUpperHalf"
-        }
-        # and the other way round: the checker's own binomial sum is what
-        # flags a true certificate once that sum reads 0
-        monkeypatch.setattr(verify, "certify_range", real)
-        monkeypatch.setattr(verify, "math", types.SimpleNamespace(comb=lambda n, i: 0))
-        assert failures(3) == {
-            "certificates": "n=2 k=2 unexpected certificate IrrationalUpperHalf"
-        }
+    @pytest.mark.parametrize("fault", SHAPE_FAULTS)
+    def test_certificate_shape_fault(self, monkeypatch, fault):
+        n, k, status = SHAPE_FAULTS[fault]
+        shown = type(status(critical.certify_range(n))).__name__
+        plant_status(monkeypatch, n, k, status)
+        assert failures(3) == {"certificates": f"n={n} k={k} unexpected certificate {shown}"}
 
     def test_upper_member_of_a_pair_fails_at_the_lower_index(self, monkeypatch):
         # the symmetry check compares the pair {2, 4} of n = 5 once, at i = 2

@@ -8,7 +8,7 @@ from math import ceil, floor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomedian.distribution import BinomialParams, cdf, pmf, pmf_sequence
+from binomedian.distribution import BinomialParams, binomial_weights, cdf, pmf
 from binomedian.median import MedianInterval, UniqueMedian, median_binomial
 from helpers import fraction_cdf, fraction_median_binomial, fraction_pmf_sequence
 
@@ -27,7 +27,8 @@ def test_exhaustive_against_fraction_oracles():
     for n, p in GRID:
         params = BinomialParams(n, p)
         masses = list(fraction_pmf_sequence(params))
-        assert list(pmf_sequence(params)) == masses
+        a, b = p.numerator, p.denominator
+        assert [Fraction(w, b**n) for w in binomial_weights(n, a, b - a)] == masses
         assert [pmf(k, params) for k in range(n + 1)] == masses
         # fraction_cdf(k) for k = -1, ..., n + 1, in one pass
         expected = [Fraction(0), *accumulate(masses), Fraction(1)]

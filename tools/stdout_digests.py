@@ -44,6 +44,10 @@ FIXED = [
     ["certify", "--n", "4001", "--k", "2001"],
     ["certify", "--n", "4000", "--k", "1"],
     ["verify", "--n-max", "30", "--digits", "1"],
+    # each certificate status through `certify`, and the battery with no sweep draws
+    ["certify", "--n", "9", "--k", "5"],
+    ["certify", "--n", "9", "--k", "7"],
+    ["verify", "--n-max", "6", "--denom-max", "1"],
     # out-of-range inputs: exit 2 with empty stdout
     ["median", "--n", "4", "--p", "5/3"],
     ["median", "--n", "-1", "--p", "1/2"],
